@@ -56,6 +56,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.group_order_cap <= 0 or self.brace_order_cap <= 0:
             raise ValueError("caps must be positive")
+        if self.n is not None and self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if self.threads < 1:
@@ -81,20 +83,27 @@ def _load_solution(source: str) -> Solution:
     return Solution.from_json(data)
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def _load_or_report(source: str) -> Solution | None:
+    """`_load_solution`, with any input error printed to stderr and mapped to None."""
     try:
-        s = _load_solution(cfg.source)
+        return _load_solution(source)
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
-        return EXIT_IO
     except InvalidSolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_validate(cfg: RunConfig) -> int:
+    s = _load_or_report(cfg.source)
+    if s is None:
         return EXIT_IO
     report = validate(s)
     _emit(report.to_json(), cfg)
@@ -102,19 +111,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    try:
-        s = _load_solution(cfg.source)
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_IO
-    except InvalidSolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    s = _load_or_report(cfg.source)
+    if s is None:
         return EXIT_IO
     record = analyze(s, group_cap=cfg.group_order_cap, brace_cap=cfg.brace_order_cap)
     _emit(record.to_json(), cfg)

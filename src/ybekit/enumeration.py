@@ -19,10 +19,10 @@ Two independent routes exist:
   2. ordered-invariant bound: in a lex-minimal table, relabeling any point
      v to 0 cannot produce a first row lex-smaller than row 0; each known
      row is checked against a precomputed minimal-conjugate table.
-  3. canonicity: a complete table is accepted only if it is the lex-least
-     member of its relabeling orbit (checked exactly, via cycle-structure
-     aligners or a vectorized full sweep); shallow prefixes are discarded
-     when a prefix-preserving relabeling already beats them.
+  3. canonicity: one vectorized comparator relabels rows 1..d-1 under all
+     aligners of an anchor at once (relabelings taking the anchor to 0 and its
+     row onto the root row; cached per search). At d = n it decides if a table
+     is orbit-least (a Sym(n) sweep if aligners are too many); below, it prunes.
 
   Accepted leaves are re-validated with the brute-force checker before
   being emitted, so search-level shortcuts cannot admit a non-solution.
@@ -120,6 +120,8 @@ class _Search:
         )
         self.invi_np = np.frombuffer(self.invi, dtype=np.int32)
         self.arange_m = np.arange(self.m, dtype=np.int32)
+        self._aligner_count_cache: dict[tuple[int, int, int], int] = {}
+        self._aligner_array_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.deadline = deadline
         self.stats = SearchStats()
         self.results: list[tuple[Perm, ...]] = []
@@ -231,61 +233,59 @@ class _Search:
 
     # -- symmetry breaking ---------------------------------------------------
 
+    def _aligner_count(self, src: int, x0: int) -> int:
+        """Number of relabelings f with f(x0) = 0 and f perms[src] f^-1 = perms[root]."""
+        key = (src, self.root, x0)
+        if key not in self._aligner_count_cache:
+            self._aligner_count_cache[key] = self.tab.aligner_count(*key)
+        return self._aligner_count_cache[key]
+
+    def _aligner_arrays(self, src: int, x0: int) -> tuple[np.ndarray, np.ndarray]:
+        """Those relabelings as the rows of F, and their inverses as the rows of Finv."""
+        key = (src, self.root, x0)
+        if key not in self._aligner_array_cache:
+            F = np.array(list(self.tab.aligners(*key)), dtype=np.int8).reshape(-1, self.n)
+            self._aligner_array_cache[key] = F, np.argsort(F, axis=1).astype(np.int8)
+        return self._aligner_array_cache[key]
+
+    def _lex_beaten(self, rows, x: int, d: int) -> bool:
+        """
+        Whether an aligner of anchor x that maps {0..d-1} into itself turns
+        rows 1..d-1 into a lex-smaller block. Relabeled row i is
+        f o sigma_{f^-1(i)} o f^-1, built for every aligner and row at once.
+        """
+        F, Finv = self._aligner_arrays(rows[x], x)
+        keep = (F[:, :d] < d).all(axis=1)
+        if d < 2 or not keep.any():
+            return False
+        F, Finv, k = F[keep], Finv[keep], int(keep.sum())
+        R = np.array(rows[:d], dtype=np.intp)
+        P = self.np_perms
+        rel = F[np.arange(k)[:, None, None], P[R[Finv[:, 1:d]][:, :, None], Finv[:, None, :]]]
+        rel = rel.reshape(k, -1)
+        cur = P[R[1:d]].reshape(-1)
+        lt = rel < cur
+        first = (lt | (rel > cur)).argmax(axis=1)
+        return bool(lt[np.arange(k), first].any())
+
     def _prefix_ok(self, rows, d: int) -> bool:
         """
-        No relabeling that permutes {0..d-1} among themselves beats the
-        current d-row prefix lexicographically. Sound to skip (it only
-        prunes), so overly symmetric anchors are ignored.
+        No relabeling that keeps {0..d-1} beats the d-row prefix. Sound to skip
+        (it only prunes), so anchors above PREFIX_ALIGNER_CAP are ignored.
         """
-        tab, mc, perms, root = self.tab, self.mc, self.perms, self.root
-        n = self.n
-        for x0 in range(d):
-            if mc[rows[x0]][x0] != root:
-                continue
-            if tab.aligner_count(rows[x0], root, x0) > self.PREFIX_ALIGNER_CAP:
-                continue
-            for f in tab.aligners(rows[x0], root, x0):
-                if any(f[x] >= d for x in range(d)):
-                    continue
-                finv = [0] * n
-                for i, v in enumerate(f):
-                    finv[v] = i
-                for i in range(1, d):
-                    src = perms[rows[finv[i]]]
-                    cur = perms[rows[i]]
-                    rel = tuple(f[src[finv[j]]] for j in range(n))
-                    if rel < cur:
-                        return False
-                    if rel > cur:
-                        break
-        return True
+        mc, root, cap = self.mc, self.root, self.PREFIX_ALIGNER_CAP
+        return not any(
+            self._lex_beaten(rows, x, d)
+            for x in range(d)
+            if mc[rows[x]][x] == root and self._aligner_count(rows[x], x) <= cap
+        )
 
     def _leaf_canonical(self, rows, table) -> bool:
         """Exact lex-minimality of the full table in its relabeling orbit."""
-        tab, mc, perms, root = self.tab, self.mc, self.perms, self.root
-        n = self.n
-        total = 0
-        anchors = []
-        for x0 in range(n):
-            if mc[rows[x0]][x0] == root:
-                anchors.append(x0)
-                total += tab.aligner_count(rows[x0], root, x0)
-        if total > self.LEAF_ALIGNER_CAP:
-            return tab.min_relabeled(table) == table
-        for x0 in anchors:
-            for f in tab.aligners(rows[x0], root, x0):
-                finv = [0] * n
-                for i, v in enumerate(f):
-                    finv[v] = i
-                for i in range(1, n):
-                    src = perms[rows[finv[i]]]
-                    cur = perms[rows[i]]
-                    rel = tuple(f[src[finv[j]]] for j in range(n))
-                    if rel < cur:
-                        return False
-                    if rel > cur:
-                        break
-        return True
+        anchors = [x for x in range(self.n) if self.mc[rows[x]][x] == self.root]
+        if sum(self._aligner_count(rows[x], x) for x in anchors) > self.LEAF_ALIGNER_CAP:
+            return self.tab.min_relabeled(table) == table
+        return not any(self._lex_beaten(rows, x, self.n) for x in anchors)
 
     # -- search ------------------------------------------------------------------
 

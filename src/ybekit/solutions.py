@@ -14,6 +14,7 @@ validated solution.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -21,6 +22,13 @@ from . import symtab
 from .errors import InvalidSolutionError
 from .perms import Perm, cycle_type, is_perm
 from .permgroup import PermGroup
+
+
+def _entry(v: Any) -> int:
+    """A sigma entry as an int; bools, floats and strings are refused, not coerced."""
+    if isinstance(v, bool):
+        raise TypeError(f"entry {v!r} is a bool, not an integer")
+    return operator.index(v)
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,8 @@ class Solution:
     @classmethod
     def from_rows(cls, rows: Any) -> "Solution":
         try:
-            sigma = tuple(tuple(int(v) for v in row) for row in rows)
-        except (TypeError, ValueError) as exc:
+            sigma = tuple(tuple(_entry(v) for v in row) for row in rows)
+        except TypeError as exc:
             raise InvalidSolutionError(f"malformed sigma table: {exc}") from exc
         return cls(len(sigma), sigma)
 

@@ -45,6 +45,19 @@ def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.json"]) == 1
 
 
+def test_validate_non_utf8_input(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"n": 1, "sigma": [[0]]}\xff\xfe')
+    for command in ("validate", "analyze"):
+        assert main([command, str(path)]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_validate_non_integer_entries(capsys):
+    assert main(["validate", '{"n": 2, "sigma": [[0, 1.9], [true, 0]]}']) == 1
+    assert "malformed sigma table" in capsys.readouterr().err
+
+
 def test_validate_inline_json(capsys):
     assert main(["validate", '{"n": 1, "sigma": [[0]]}']) == 0
     capsys.readouterr()
@@ -93,6 +106,12 @@ def test_enumerate_writes_catalog(tmp_path, capsys):
 def test_enumerate_budget_guard(capsys):
     assert main(["enumerate", "--n", "8"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_enumerate_size_below_one(capsys):
+    for n in ("0", "-3"):
+        assert main(["enumerate", "--n", n]) == 1
+        assert "n must be >= 1" in capsys.readouterr().err
 
 
 def test_enumerate_n1(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from ybekit.catalog import CatalogRecord
 from ybekit.enumeration import (
     SearchStats,
+    _Search,
     analyze,
     canonical_root_rows,
     classify_primitive,
@@ -11,7 +16,7 @@ from ybekit.enumeration import (
     oracle_enumerate,
 )
 from ybekit.errors import BudgetExceededError
-from ybekit.solutions import Solution, canonical_form, validate
+from ybekit.solutions import Solution, canonical_form, relabel, validate
 
 # frozen regression counts, established by the exhaustive oracle (n <= 4)
 # and by verified enumerator runs (n >= 5)
@@ -79,12 +84,60 @@ def test_all_tables_are_canonical_and_valid():
             assert canonical_form(s).sigma == table
 
 
+# frozen search counters: a faster search must not be a smaller one
+EXPECTED_STATS = {
+    4: SearchStats(nodes=76, leaves=43, accepted=23, invalid_leaves=0, noncanonical_leaves=20),
+    5: SearchStats(nodes=471, leaves=211, accepted=88, invalid_leaves=0, noncanonical_leaves=123),
+}
+
+
 def test_stats_reported():
-    stats = SearchStats()
-    enumerate_canonical_tables(4, use_cache=False, stats=stats)
-    assert stats.accepted == 23
-    assert stats.invalid_leaves == 0
-    assert stats.nodes >= stats.leaves
+    for n, expected in EXPECTED_STATS.items():
+        stats = SearchStats()
+        enumerate_canonical_tables(n, use_cache=False, stats=stats)
+        assert stats == expected
+
+
+def test_leaf_comparator_matches_min_relabeled():
+    """
+    The aligner comparator against the full n! sweep of min_relabeled, on
+    every relabeling of every class with n <= 4 and a seeded sample at
+    n = 5, restricted to tables the search can reach as leaves: row 0 is
+    the root and mc[rows[x]][x] >= root for every x.
+    """
+    rng = random.Random(20)
+    cases = []
+    for n in (1, 2, 3, 4):
+        for rec in fast_enumerate(n):
+            s = Solution(n, rec.sigma)
+            cases += [relabel(s, f).sigma for f in itertools.permutations(range(n))]
+    for rec in fast_enumerate(5):
+        s = Solution(5, rec.sigma)
+        cases += [s.sigma] + [relabel(s, tuple(rng.sample(range(5), 5))).sigma for _ in range(10)]
+
+    searches = {n: _Search(n) for n in range(1, 6)}
+    verdicts = set()
+    for table in cases:
+        search = searches[len(table)]
+        tab = search.tab
+        rows = [tab.pidx[row] for row in table]
+        search.root = rows[0]
+        if any(tab.mc[r][x] < search.root for x, r in enumerate(rows)):
+            continue
+        canonical = tab.min_relabeled(table) == table
+        anchors = [x for x, r in enumerate(rows) if tab.mc[r][x] == search.root]
+        assert sum(search._aligner_count(rows[x], x) for x in anchors) <= search.LEAF_ALIGNER_CAP
+        beaten = any(search._lex_beaten(rows, x, len(table)) for x in anchors)
+        assert beaten != canonical, table
+        verdicts.add(canonical)
+    assert verdicts == {True, False}
+
+    for n, search in searches.items():
+        assert search._aligner_array_cache
+        for (src, root, x0), (F, Finv) in search._aligner_array_cache.items():
+            assert len(F) == search._aligner_count_cache[src, root, x0]
+            assert {tuple(f) for f in F.tolist()} == set(search.tab.aligners(src, root, x0))
+            assert (np.take_along_axis(F, Finv, axis=1) == np.arange(n)).all()
 
 
 def test_root_rows_are_pinned_minimal():

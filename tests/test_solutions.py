@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,6 +41,20 @@ def test_structural_rejection():
         Solution(2, ((0, 1),))
     with pytest.raises(InvalidSolutionError):
         Solution.from_json({"n": 3, "sigma": [[0, 1], [1, 0]]})
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0, 1.9], [True, 0]], [[0, 1], [1.0, 0]], [[0, 1], ["1", "0"]], [[0, 1], [False, 1]]]
+)
+def test_non_integer_entries_rejected(rows):
+    with pytest.raises(InvalidSolutionError):
+        Solution.from_rows(rows)
+
+
+def test_numpy_integer_entries_accepted():
+    rows = np.array([[1, 0], [1, 0]], dtype=np.int16)
+    assert Solution.from_rows(rows).sigma == ((1, 0), (1, 0))
+    assert Solution.from_rows([[np.int64(0)]]).sigma == ((0,),)
 
 
 def test_json_round_trip():
