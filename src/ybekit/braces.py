@@ -55,17 +55,6 @@ class FiniteBrace:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def zero_one(self) -> int:
-        return 0
-
-    def index_of(self, p: Perm) -> int:
-        return self.elements.index(p)
-
-    def sub(self, a: int, b: int) -> int:
-        """a - b in the additive group."""
-        return int(self.add[a, self.neg[b]])
-
     def to_json(self, include_lambda: bool = False) -> dict:
         out = {
             "order": self.order,

@@ -22,7 +22,7 @@ Two independent routes exist:
   3. canonicity: one vectorized comparator relabels rows 1..d-1 under all
      aligners of an anchor at once (relabelings taking the anchor to 0 and its
      row onto the root row; cached per search). At d = n it decides if a table
-     is orbit-least (a Sym(n) sweep if aligners are too many); below, it prunes.
+     is orbit-least; below, it prunes.
 
   Accepted leaves are re-validated with the brute-force checker before
   being emitted, so search-level shortcuts cannot admit a non-solution.
@@ -33,6 +33,7 @@ merged as sorted sets of canonical tables.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -73,8 +74,6 @@ ORACLE_LIMIT = 4
 DEFAULT_EXHAUSTIVE_LIMIT = 7
 HARD_LIMIT = 8
 
-_TABLE_CACHE: dict[int, tuple[tuple[Perm, ...], ...]] = {}
-_RECORD_CACHE: dict[int, tuple[CatalogRecord, ...]] = {}
 _ORACLE_CACHE: dict[int, tuple[CatalogRecord, ...]] = {}
 
 
@@ -94,33 +93,44 @@ class SearchStats:
         self.noncanonical_leaves += other.noncanonical_leaves
 
 
+@dataclass(frozen=True)
+class _Enumeration:
+    """The canonical tables of one size and the counters of the search that found them."""
+
+    tables: tuple[tuple[Perm, ...], ...]
+    stats: SearchStats
+
+    @functools.cached_property
+    def records(self) -> tuple[CatalogRecord, ...]:
+        return tuple(_record_from_canonical(t) for t in self.tables)
+
+
+_SEARCH_CACHE: dict[int, _Enumeration] = {}
+
+
 class _Search:
     """Row-by-row backtracking over sigma tables of one degree."""
-
-    PREFIX_ALIGNER_CAP = 5000
-    LEAF_ALIGNER_CAP = 20000
 
     def __init__(self, n: int, deadline: float | None = None):
         self.tab = symtab.get_tables(n)
         self.tab.ensure_comp()
         self.n = n
-        self.m = self.tab.m
+        m = self.tab.m
         self.perms = self.tab.perms
         self.iperms = self.tab.iperms
-        self.comp = self.tab.comp_flat
         self.invi = self.tab.invi
         self.mc = self.tab.mc
         self.mc_np = self.tab.mc_np
         self.np_perms = self.tab.np_perms
         self.np_inv = self.tab.np_inv
+        comp = self.tab.comp_flat
         self.comp_np = (
-            np.frombuffer(self.comp, dtype=np.int16).reshape(self.m, self.m)
-            if self.comp is not None
+            np.frombuffer(comp, dtype=np.int16).reshape(m, m)
+            if comp is not None
             else None
         )
         self.invi_np = np.frombuffer(self.invi, dtype=np.int32)
-        self.arange_m = np.arange(self.m, dtype=np.int32)
-        self._aligner_count_cache: dict[tuple[int, int, int], int] = {}
+        self.arange_m = np.arange(m, dtype=np.int32)
         self._aligner_array_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.deadline = deadline
         self.stats = SearchStats()
@@ -128,11 +138,6 @@ class _Search:
         self.root = -1
 
     # -- constraint propagation -------------------------------------------
-
-    def _compose_idx(self, i: int, j: int) -> int:
-        if self.comp is not None:
-            return self.comp[i * self.m + j]
-        return self.tab.compose_idx(i, j)
 
     def _know(self, rows, gmask, pending, r0: int, c0: int) -> bool:
         """
@@ -142,11 +147,10 @@ class _Search:
         known one, a partial gamma collision, or a minimal-conjugate bound
         violation. Mutates rows/gmask/pending in place.
         """
-        n, m = self.n, self.m
-        perms, iperms = self.perms, self.iperms
-        comp, invi = self.comp, self.invi
+        n = self.n
+        perms, iperms, invi = self.perms, self.iperms, self.invi
         mc, root = self.mc, self.root
-        compose = self._compose_idx
+        compose = self.tab.compose_idx
         stack = [(r0, c0)]
         while stack:
             r, c = stack.pop()
@@ -233,15 +237,11 @@ class _Search:
 
     # -- symmetry breaking ---------------------------------------------------
 
-    def _aligner_count(self, src: int, x0: int) -> int:
-        """Number of relabelings f with f(x0) = 0 and f perms[src] f^-1 = perms[root]."""
-        key = (src, self.root, x0)
-        if key not in self._aligner_count_cache:
-            self._aligner_count_cache[key] = self.tab.aligner_count(*key)
-        return self._aligner_count_cache[key]
-
     def _aligner_arrays(self, src: int, x0: int) -> tuple[np.ndarray, np.ndarray]:
-        """Those relabelings as the rows of F, and their inverses as the rows of Finv."""
+        """
+        The relabelings f with f(x0) = 0 and f perms[src] f^-1 = perms[root]
+        as the rows of F, and their inverses as the rows of Finv.
+        """
         key = (src, self.root, x0)
         if key not in self._aligner_array_cache:
             F = np.array(list(self.tab.aligners(*key)), dtype=np.int8).reshape(-1, self.n)
@@ -268,24 +268,16 @@ class _Search:
         first = (lt | (rel > cur)).argmax(axis=1)
         return bool(lt[np.arange(k), first].any())
 
-    def _prefix_ok(self, rows, d: int) -> bool:
+    def _canonical(self, rows, d: int) -> bool:
         """
-        No relabeling that keeps {0..d-1} beats the d-row prefix. Sound to skip
-        (it only prunes), so anchors above PREFIX_ALIGNER_CAP are ignored.
+        No relabeling that keeps {0..d-1} beats the d-row prefix. At d = n this
+        is exact lex-minimality of the table in its relabeling orbit; below, a
+        prefix that fails it has no canonical completion.
         """
-        mc, root, cap = self.mc, self.root, self.PREFIX_ALIGNER_CAP
+        mc, root = self.mc, self.root
         return not any(
-            self._lex_beaten(rows, x, d)
-            for x in range(d)
-            if mc[rows[x]][x] == root and self._aligner_count(rows[x], x) <= cap
+            self._lex_beaten(rows, x, d) for x in range(d) if mc[rows[x]][x] == root
         )
-
-    def _leaf_canonical(self, rows, table) -> bool:
-        """Exact lex-minimality of the full table in its relabeling orbit."""
-        anchors = [x for x in range(self.n) if self.mc[rows[x]][x] == self.root]
-        if sum(self._aligner_count(rows[x], x) for x in anchors) > self.LEAF_ALIGNER_CAP:
-            return self.tab.min_relabeled(table) == table
-        return not any(self._lex_beaten(rows, x, self.n) for x in anchors)
 
     # -- search ------------------------------------------------------------------
 
@@ -295,7 +287,7 @@ class _Search:
         if not validate(Solution(self.n, table)).passed:
             self.stats.invalid_leaves += 1
             return
-        if self._leaf_canonical(rows, table):
+        if self._canonical(rows, self.n):
             self.stats.accepted += 1
             self.results.append(table)
         else:
@@ -307,7 +299,7 @@ class _Search:
         rejected candidate would also be rejected by the exact cascade, so
         this only trims the loop, never the result set.
         """
-        n, m = self.n, self.m
+        n = self.n
         mc_np, root, ar = self.mc_np, self.root, self.arange_m
         P, IV, C = self.np_perms, self.np_inv, self.comp_np
         invi_np = self.invi_np
@@ -338,7 +330,7 @@ class _Search:
 
         # braid constraints that resolve as soon as row k is set (u == k)
         for x, y in pending.get(k, ()):
-            t = self._compose_idx(rows[x], rows[y])
+            t = self.tab.compose_idx(rows[x], rows[y])
             rv = C[invi_np, t].astype(np.int32)
             v = IV[:, x].astype(np.int32)
             va = np.where(v == k, -2, rows_arr[v])
@@ -406,7 +398,7 @@ class _Search:
         if k is None:
             self._leaf(rows)
             return
-        if k >= 2 and not self._prefix_ok(rows, k):
+        if k >= 2 and not self._canonical(rows, k):
             return
         candidates = np.nonzero(self._candidate_mask(rows, gmask, pending, k))[0]
         for c in candidates:
@@ -453,7 +445,8 @@ def enumerate_canonical_tables(
     All canonical sigma tables of valid solutions of size n, sorted.
 
     Exhaustive for n <= 7 by default; n = 8 requires allow_large (an
-    extended, multi-hour run); larger n is refused outright.
+    extended, multi-hour run); larger n is refused outright. The counters of
+    the search are merged into stats, also when the tables come from the cache.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -464,9 +457,17 @@ def enumerate_canonical_tables(
             f"n={n} exceeds the default budget (n <= {DEFAULT_EXHAUSTIVE_LIMIT}); "
             "pass allow_large to opt in"
         )
-    if use_cache and n in _TABLE_CACHE:
-        return _TABLE_CACHE[n]
+    run = _SEARCH_CACHE.get(n) if use_cache else None
+    if run is None:
+        run = _run_search(n, threads, time_budget_secs)
+        if use_cache:
+            _SEARCH_CACHE[n] = run
+    if stats is not None:
+        stats.merge(run.stats)
+    return run.tables
 
+
+def _run_search(n: int, threads: int, time_budget_secs: float | None) -> _Enumeration:
     tab = symtab.get_tables(n)
     tab.ensure_comp()
     roots = canonical_root_rows(n)
@@ -474,25 +475,18 @@ def enumerate_canonical_tables(
 
     if threads <= 1 or len(roots) <= 1:
         search = _Search(n, deadline)
-        tables = search.run(roots)
-        if stats is not None:
-            stats.merge(search.stats)
+        tables, stats = search.run(roots), search.stats
     else:
         chunks = [roots[i::threads] for i in range(threads)]
         chunks = [c for c in chunks if c]
         ctx = get_context("fork")
         with ctx.Pool(len(chunks)) as pool:
             parts = pool.map(_search_worker, [(n, c, deadline) for c in chunks])
-        tables = []
+        tables, stats = [], SearchStats()
         for part, stat in parts:
             tables.extend(part)
-            if stats is not None:
-                stats.merge(SearchStats(**stat))
-
-    result = tuple(sorted(tables))
-    if use_cache:
-        _TABLE_CACHE[n] = result
-    return result
+            stats.merge(SearchStats(**stat))
+    return _Enumeration(tuple(sorted(tables)), stats)
 
 
 # -- record construction ------------------------------------------------------
@@ -660,10 +654,9 @@ def fast_enumerate(
 ) -> list[CatalogRecord]:
     """
     Isomorph-free enumeration with records; output is a pure function of n
-    (thread count only partitions the work).
+    (thread count only partitions the work). The counters of the search are
+    merged into stats, also when the records come from the cache.
     """
-    if use_cache and n in _RECORD_CACHE:
-        return list(_RECORD_CACHE[n])
     tables = enumerate_canonical_tables(
         n,
         threads=threads,
@@ -672,10 +665,9 @@ def fast_enumerate(
         use_cache=use_cache,
         stats=stats,
     )
-    records = tuple(_record_from_canonical(t) for t in tables)
     if use_cache:
-        _RECORD_CACHE[n] = records
-    return list(records)
+        return list(_SEARCH_CACHE[n].records)
+    return [_record_from_canonical(t) for t in tables]
 
 
 # -- classification ----------------------------------------------------------------

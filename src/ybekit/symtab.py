@@ -10,7 +10,6 @@ processes inherit them copy-on-write).
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 from typing import Iterator
 
@@ -134,28 +133,6 @@ class SymTables:
         return tuple(tuple(int(v) for v in best[i * n : (i + 1) * n]) for i in range(n))
 
     # -- conjugation aligners ----------------------------------------------
-
-    def aligner_count(self, src: int, tgt: int, x0: int) -> int:
-        """Number of relabelings f with f(x0)=0 and f perms[src] f^{-1} == perms[tgt]."""
-        if self.types[src] != self.types[tgt]:
-            return 0
-        src_c = cycles(self.perms[src])
-        tgt_c = cycles(self.perms[tgt])
-        lx0 = next(len(c) for c in src_c if x0 in c)
-        l0 = next(len(c) for c in tgt_c if 0 in c)
-        if lx0 != l0:
-            return 0
-        count = 1
-        rest_src: dict[int, int] = {}
-        seen_anchor = False
-        for c in src_c:
-            if not seen_anchor and x0 in c:
-                seen_anchor = True
-                continue
-            rest_src[len(c)] = rest_src.get(len(c), 0) + 1
-        for length, mult in rest_src.items():
-            count *= math.factorial(mult) * length**mult
-        return count
 
     def aligners(self, src: int, tgt: int, x0: int) -> Iterator[Perm]:
         """

@@ -145,10 +145,9 @@ def test_bad_caps(capsys):
 def test_env_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("YBEKIT_BUDGET_SECS", "1e-9")
     # cached sizes return instantly even with a tiny budget; use a cold cache
-    from ybekit.enumeration import _RECORD_CACHE, _TABLE_CACHE
+    from ybekit.enumeration import _SEARCH_CACHE
 
-    _TABLE_CACHE.pop(6, None)
-    _RECORD_CACHE.pop(6, None)
+    _SEARCH_CACHE.pop(6, None)
     assert main(["enumerate", "--n", "6"]) == 3
     assert "budget" in capsys.readouterr().err
 

@@ -98,11 +98,48 @@ def test_stats_reported():
         assert stats == expected
 
 
+def test_stats_reported_on_cache_hit():
+    # the first call may fill the cache, the others read it; all three must
+    # report the counters of the search that filled it
+    for call in (fast_enumerate, fast_enumerate, enumerate_canonical_tables):
+        stats = SearchStats()
+        call(4, stats=stats)
+        assert stats == EXPECTED_STATS[4]
+
+
+def test_n8_search_on_a_3_cycle_root():
+    # the only tier-1 run of the n = 8 path: composition through the dict,
+    # no composition table, so the candidate mask stops before the braid checks
+    search = _Search(8)
+    assert search.comp_np is None
+    root = search.tab.pidx[(1, 2, 0, 3, 4, 5, 6, 7)]
+    assert root == 5760
+    tables = search.run([root])
+    assert search.stats == SearchStats(
+        nodes=748, leaves=3, accepted=3, invalid_leaves=0, noncanonical_leaves=0
+    )
+    for table in tables:
+        s = Solution(8, table)
+        assert validate(s).passed
+        assert canonical_form(s).sigma == table
+
+
+def _disjoint_union(a, b):
+    """Each part acts on its own points by its sigma rows and fixes the other part."""
+    na, nb = len(a), len(b)
+    rows = [tuple(row) + tuple(range(na, na + nb)) for row in a]
+    rows += [tuple(range(na)) + tuple(na + v for v in row) for row in b]
+    return tuple(rows)
+
+
 def test_leaf_comparator_matches_min_relabeled():
     """
     The aligner comparator against the full n! sweep of min_relabeled, on
-    every relabeling of every class with n <= 4 and a seeded sample at
-    n = 5, restricted to tables the search can reach as leaves: row 0 is
+    every relabeling of every class with n <= 4, a seeded sample at n = 5,
+    and n = 8 tables with the identity as root row (the trivial solution,
+    and seeded relabelings and canonical forms of disjoint unions with at
+    least four identity rows, whose identity anchors have 5040 aligners
+    each), restricted to tables the search can reach as leaves: row 0 is
     the root and mc[rows[x]][x] >= root for every x.
     """
     rng = random.Random(20)
@@ -115,8 +152,20 @@ def test_leaf_comparator_matches_min_relabeled():
         s = Solution(5, rec.sigma)
         cases += [s.sigma] + [relabel(s, tuple(rng.sample(range(5), 5))).sigma for _ in range(10)]
 
-    searches = {n: _Search(n) for n in range(1, 6)}
-    verdicts = set()
+    trivial4 = tuple(tuple(range(4)) for _ in range(4))
+    cases.append(_disjoint_union(trivial4, trivial4))
+    for rec in rng.sample(fast_enumerate(4), 6):
+        s = Solution(8, _disjoint_union(rec.sigma, trivial4))
+        cases.append(canonical_form(s).sigma)
+        identity_points = [x for x in range(8) if s.sigma[x] == tuple(range(8))]
+        for _ in range(6):
+            f = rng.sample(range(8), 8)
+            x = rng.choice(identity_points)
+            f[f.index(0)], f[x] = f[x], 0  # relabel an identity row to row 0
+            cases.append(relabel(s, tuple(f)).sigma)
+
+    searches = {n: _Search(n) for n in (1, 2, 3, 4, 5, 8)}
+    verdicts = {n: set() for n in searches}
     for table in cases:
         search = searches[len(table)]
         tab = search.tab
@@ -125,18 +174,16 @@ def test_leaf_comparator_matches_min_relabeled():
         if any(tab.mc[r][x] < search.root for x, r in enumerate(rows)):
             continue
         canonical = tab.min_relabeled(table) == table
-        anchors = [x for x, r in enumerate(rows) if tab.mc[r][x] == search.root]
-        assert sum(search._aligner_count(rows[x], x) for x in anchors) <= search.LEAF_ALIGNER_CAP
-        beaten = any(search._lex_beaten(rows, x, len(table)) for x in anchors)
-        assert beaten != canonical, table
-        verdicts.add(canonical)
-    assert verdicts == {True, False}
+        assert search._canonical(rows, len(table)) == canonical, table
+        verdicts[len(table)].add(canonical)
+    assert verdicts[8] == {True, False}
+    assert set().union(*verdicts.values()) == {True, False}
 
     for n, search in searches.items():
         assert search._aligner_array_cache
         for (src, root, x0), (F, Finv) in search._aligner_array_cache.items():
-            assert len(F) == search._aligner_count_cache[src, root, x0]
-            assert {tuple(f) for f in F.tolist()} == set(search.tab.aligners(src, root, x0))
+            got = {tuple(f) for f in F.tolist()}
+            assert len(got) == len(F) and got == set(search.tab.aligners(src, root, x0))
             assert (np.take_along_axis(F, Finv, axis=1) == np.arange(n)).all()
 
 

@@ -52,9 +52,8 @@ def test_aligners_match_brute_force():
                 for f in fs
                 if f[x0] == 0 and conjugate(f, tab.perms[src]) == tab.perms[tgt]
             }
-            got = set(tab.aligners(src, tgt, x0))
-            assert got == expected
-            assert len(got) == tab.aligner_count(src, tgt, x0)
+            got = list(tab.aligners(src, tgt, x0))
+            assert len(got) == len(expected) and set(got) == expected
 
 
 def test_aligners_empty_for_type_mismatch():
@@ -62,7 +61,6 @@ def test_aligners_empty_for_type_mismatch():
     # a transposition cannot be conjugated onto a 3-cycle
     swap = tab.pidx[(1, 0, 2)]
     cycle = tab.pidx[(1, 2, 0)]
-    assert tab.aligner_count(swap, cycle, 0) == 0
     assert list(tab.aligners(swap, cycle, 0)) == []
 
 
