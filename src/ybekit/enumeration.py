@@ -10,12 +10,15 @@ Two independent routes exist:
 * `fast_enumerate` (n <= 7 by default, n = 8 opt-in): depth-first search
   over partial sigma tables, one row at a time, with three pruning devices:
 
-  1. constraint propagation: once rows x, y and u = sigma_x(y) are known,
-     the braid relation forces row v = sigma_u^{-1}(x) to equal
-     sigma_u^{-1} sigma_x sigma_y, so rows are forced long before they are
-     branched on; partial gamma values are tracked per column and any
-     collision (a non-degeneracy violation) kills the branch. Both
-     conditions are necessary, so no solution is ever pruned.
+  1. constraint propagation from one triple rule: for a triple (x, y,
+     u = sigma_x(y)), rows x and u give the gamma entry gamma_y(x) =
+     v = sigma_u^{-1}(x), and row y as well forces row v to equal
+     sigma_u^{-1} sigma_x sigma_y. Each new row completes the triples where
+     it is x, u or y, so rows are forced long before they are branched on;
+     partial gamma values are tracked per column and any collision (a
+     non-degeneracy violation) kills the branch. A vectorized filter checks
+     the same triples one step deep for all candidate values of the next
+     row. Both conditions are necessary, so no solution is ever pruned.
   2. ordered-invariant bound: in a lex-minimal table, relabeling any point
      v to 0 cannot produce a first row lex-smaller than row 0; each known
      row is checked against a precomputed minimal-conjugate table.
@@ -24,7 +27,7 @@ Two independent routes exist:
      row onto the root row; cached per search). At d = n it decides if a table
      is orbit-least; below, it prunes.
 
-  Accepted leaves are re-validated with the brute-force checker before
+  Canonical leaves are re-validated with the brute-force checker before
   being emitted, so search-level shortcuts cannot admit a non-solution.
 
 Search order is deterministic and the result is a pure function of n:
@@ -74,11 +77,15 @@ ORACLE_LIMIT = 4
 DEFAULT_EXHAUSTIVE_LIMIT = 7
 HARD_LIMIT = 8
 
-_ORACLE_CACHE: dict[int, tuple[CatalogRecord, ...]] = {}
-
-
 @dataclass
 class SearchStats:
+    """
+    Counters of one search. Every leaf (a complete table) is first tested for
+    canonicity: `noncanonical_leaves` counts the leaves that fail it, and
+    `invalid_leaves` the canonical leaves that then fail re-validation by the
+    brute-force checker; the rest are `accepted`.
+    """
+
     nodes: int = 0
     leaves: int = 0
     accepted: int = 0
@@ -139,13 +146,17 @@ class _Search:
 
     # -- constraint propagation -------------------------------------------
 
-    def _know(self, rows, gmask, pending, r0: int, c0: int) -> bool:
+    def _know(self, rows, gmask, r0: int, c0: int) -> bool:
         """
         Record row r0 = perms[c0] and cascade all consequences.
 
-        Returns False on any contradiction: a forced row clashing with a
-        known one, a partial gamma collision, or a minimal-conjugate bound
-        violation. Mutates rows/gmask/pending in place.
+        Every constraint comes from a triple (x, y, u = sigma_x(y)): rows x and
+        u give the gamma entry gamma_y(x) = v = sigma_u^{-1}(x), and row y as
+        well forces row v = sigma_u^{-1} sigma_x sigma_y. A new row r completes
+        the triples where it is x, u or y; all their gamma entries are checked
+        before any forced row is composed. Returns False on any contradiction:
+        a partial gamma collision, a forced row clashing with a known one, or a
+        minimal-conjugate bound violation. Mutates rows and gmask in place.
         """
         n = self.n
         perms, iperms, invi = self.perms, self.iperms, self.invi
@@ -165,74 +176,42 @@ class _Search:
             pr = perms[c]
             ipr = iperms[c]
 
-            # newly computable gamma entries
-            for y in range(n):
+            # gamma half; the complete triples are kept as (x, y, row u)
+            done = []
+            for y in range(n):  # r is x
                 ru = rows[pr[y]]
                 if ru is not None:
                     bit = 1 << iperms[ru][r]
                     if gmask[y] & bit:
                         return False
                     gmask[y] |= bit
+                    if rows[y] is not None:
+                        done.append((r, y, ru))
             for x in range(n):
-                if x == r:
-                    continue
                 rx = rows[x]
-                if rx is None:
+                if rx is None or x == r:
                     continue
-                y = iperms[rx][r]
+                y = iperms[rx][r]  # r is u
                 bit = 1 << ipr[x]
                 if gmask[y] & bit:
                     return False
                 gmask[y] |= bit
-
-            # braid constraints that were waiting for this row (u == r)
-            for x, y in pending.pop(r, ()):
-                v = ipr[x]
-                rv_exp = compose(invi[c], compose(rows[x], rows[y]))
-                cur_v = rows[v]
-                if cur_v is not None:
-                    if cur_v != rv_exp:
-                        return False
-                else:
-                    stack.append((v, rv_exp))
-
-            # new pairs involving row r
-            for y in range(n):
-                ry = rows[y]
-                if ry is None:
-                    continue
-                u = pr[y]
+                if rows[y] is not None:
+                    done.append((x, y, c))
+                u = perms[rx][r]  # r is y; u == r was taken as y == r above
                 ru = rows[u]
-                if ru is None:
-                    pending[u] = pending.get(u, ()) + ((r, y),)
-                else:
-                    v = iperms[ru][r]
-                    rv_exp = compose(invi[ru], compose(c, ry))
-                    cur_v = rows[v]
-                    if cur_v is not None:
-                        if cur_v != rv_exp:
-                            return False
-                    else:
-                        stack.append((v, rv_exp))
-            for x in range(n):
-                if x == r:
-                    continue
-                rx = rows[x]
-                if rx is None:
-                    continue
-                u = perms[rx][r]
-                ru = rows[u]
-                if ru is None:
-                    pending[u] = pending.get(u, ()) + ((x, r),)
-                else:
-                    v = iperms[ru][x]
-                    rv_exp = compose(invi[ru], compose(rx, c))
-                    cur_v = rows[v]
-                    if cur_v is not None:
-                        if cur_v != rv_exp:
-                            return False
-                    else:
-                        stack.append((v, rv_exp))
+                if ru is not None and u != r:
+                    done.append((x, r, ru))
+
+            # braid half
+            for x, y, ru in done:
+                v = iperms[ru][x]
+                rv = compose(invi[ru], compose(rows[x], rows[y]))
+                cur = rows[v]
+                if cur is None:
+                    stack.append((v, rv))
+                elif cur != rv:
+                    return False
         return True
 
     # -- symmetry breaking ---------------------------------------------------
@@ -283,21 +262,22 @@ class _Search:
 
     def _leaf(self, rows) -> None:
         self.stats.leaves += 1
+        if not self._canonical(rows, self.n):
+            self.stats.noncanonical_leaves += 1
+            return
         table = tuple(self.perms[i] for i in rows)
         if not validate(Solution(self.n, table)).passed:
             self.stats.invalid_leaves += 1
             return
-        if self._canonical(rows, self.n):
-            self.stats.accepted += 1
-            self.results.append(table)
-        else:
-            self.stats.noncanonical_leaves += 1
+        self.stats.accepted += 1
+        self.results.append(table)
 
-    def _candidate_mask(self, rows, gmask, pending, k) -> np.ndarray:
+    def _candidate_mask(self, rows, gmask, k) -> np.ndarray:
         """
-        Vectorized necessary conditions on candidate values for row k; every
-        rejected candidate would also be rejected by the exact cascade, so
-        this only trims the loop, never the result set.
+        Vectorized necessary conditions on candidate values for row k: the
+        triples of `_know` that row k completes, one step deep. Every rejected
+        candidate would also be rejected by the exact cascade, so this only
+        trims the loop, never the result set.
         """
         n = self.n
         mc_np, root, ar = self.mc_np, self.root, self.arange_m
@@ -328,64 +308,37 @@ class _Search:
         if C is None:
             return ok
 
-        # braid constraints that resolve as soon as row k is set (u == k)
-        for x, y in pending.get(k, ()):
-            t = self.tab.compose_idx(rows[x], rows[y])
-            rv = C[invi_np, t].astype(np.int32)
-            v = IV[:, x].astype(np.int32)
+        def forced_ok(v, rv):
+            # forced row v (one per candidate, or one for all) may take value rv
             va = np.where(v == k, -2, rows_arr[v])
-            forced_ok = (va < 0) & (mc_np[rv, v] >= root)
-            ok &= np.where(va == -2, rv == ar, forced_ok | (va == rv))
+            unknown_ok = mc_np[rv, v] >= root
+            return np.where(va == -2, rv == ar, np.where(va >= 0, va == rv, unknown_ok))
 
-        # new pairs (k, y) with y known (including y == k)
-        for y in range(n):
-            if y == k:
-                t_all = C[ar, ar].astype(np.int32)  # candidate composed with itself
-            else:
-                ry = rows[y]
-                if ry is None:
-                    continue
-                t_all = C[:, ry].astype(np.int32)
+        # braid half; a row given as ar is the candidate itself
+        for y in range(n):  # k is x
+            ry = ar if y == k else rows[y]
+            if ry is None:
+                continue
             ucol = P[:, y].astype(np.int32)
             ru = np.where(ucol == k, ar, rows_arr[ucol])
             known = ru >= 0
-            if not known.any():
-                continue
-            v = IV[ru, k].astype(np.int32)
-            rv = C[invi_np[ru], t_all].astype(np.int32)
-            va = np.where(v == k, -2, rows_arr[v])
-            forced_ok = (va < 0) & (mc_np[rv, v] >= root)
-            cond = np.where(va == -2, rv == ar, forced_ok | (va == rv))
-            ok &= ~known | cond
-
-        # new pairs (x, k) with x known
+            if known.any():
+                ok &= ~known | forced_ok(IV[ru, k], C[invi_np[ru], C[ar, ry]])
         for x in range(n):
             rx = rows[x]
             if rx is None or x == k:
                 continue
-            u = self.perms[rx][k]
-            inner = C[rx].astype(np.int32)  # composed with each candidate
-            if u == k:
-                v = IV[:, x].astype(np.int32)
-                rv = C[invi_np, inner].astype(np.int32)
-                va = np.where(v == k, -2, rows_arr[v])
-                forced_ok = (va < 0) & (mc_np[rv, v] >= root)
-                ok &= np.where(va == -2, rv == ar, forced_ok | (va == rv))
-            else:
-                ru = rows[u]
-                if ru is None:
-                    continue
-                v = self.iperms[ru][x]
-                rv = C[self.invi[ru]][inner].astype(np.int32)
-                if v == k:
-                    ok &= rv == ar
-                elif rows[v] is not None:
-                    ok &= rv == rows[v]
-                else:
-                    ok &= mc_np[rv, v] >= root
+            y = self.iperms[rx][k]  # k is u
+            ry = ar if y == k else rows[y]
+            if ry is not None:
+                ok &= forced_ok(IV[:, x], C[invi_np, C[rx, ry]])
+            u = self.perms[rx][k]  # k is y; u == k was taken as y == k above
+            ru = rows[u]
+            if ru is not None and u != k:
+                ok &= forced_ok(IV[ru, x], C[invi_np[ru], C[rx]])
         return ok
 
-    def _dfs(self, rows, gmask, pending) -> None:
+    def _dfs(self, rows, gmask) -> None:
         self.stats.nodes += 1
         if self.deadline is not None and self.stats.nodes % 64 == 0:
             if time.monotonic() > self.deadline:
@@ -400,23 +353,20 @@ class _Search:
             return
         if k >= 2 and not self._canonical(rows, k):
             return
-        candidates = np.nonzero(self._candidate_mask(rows, gmask, pending, k))[0]
+        candidates = np.nonzero(self._candidate_mask(rows, gmask, k))[0]
         for c in candidates:
-            c = int(c)
             rows2 = rows[:]
             gmask2 = gmask[:]
-            pending2 = dict(pending)
-            if self._know(rows2, gmask2, pending2, k, c):
-                self._dfs(rows2, gmask2, pending2)
+            if self._know(rows2, gmask2, k, int(c)):
+                self._dfs(rows2, gmask2)
 
     def run(self, roots) -> list[tuple[Perm, ...]]:
         for c in roots:
             self.root = c
             rows: list[int | None] = [None] * self.n
             gmask = [0] * self.n
-            pending: dict[int, tuple] = {}
-            if self._know(rows, gmask, pending, 0, c):
-                self._dfs(rows, gmask, pending)
+            if self._know(rows, gmask, 0, c):
+                self._dfs(rows, gmask)
         return self.results
 
 
@@ -568,7 +518,7 @@ def analyze(
 # -- the oracle ----------------------------------------------------------------
 
 
-def oracle_enumerate(n: int, use_cache: bool = True) -> list[CatalogRecord]:
+def oracle_enumerate(n: int) -> list[CatalogRecord]:
     """
     Ground-truth enumeration for n <= 4: every sigma table is generated,
     validated with the brute-force checker, and bucketed by canonical form.
@@ -577,28 +527,19 @@ def oracle_enumerate(n: int, use_cache: bool = True) -> list[CatalogRecord]:
         raise ValueError("size must be >= 1")
     if n > ORACLE_LIMIT:
         raise ValueError(f"the oracle sweeps (n!)^n tables; refusing n > {ORACLE_LIMIT}")
-    if use_cache and n in _ORACLE_CACHE:
-        return list(_ORACLE_CACHE[n])
+    return list(_oracle_records(n))
 
+
+@functools.cache
+def _oracle_records(n: int) -> tuple[CatalogRecord, ...]:
     tab = symtab.get_tables(n)
     if n <= 3:
-        survivors = [
-            rows
-            for rows in itertools.product(tab.perms, repeat=n)
-            if validate(Solution(n, rows)).passed
-        ]
+        tables = itertools.product(tab.perms, repeat=n)
     else:
-        survivors = [
-            rows
-            for rows in _oracle_prefiltered_tables(n)
-            if validate(Solution(n, rows)).passed
-        ]
-
+        tables = _oracle_prefiltered_tables(n)
+    survivors = [rows for rows in tables if validate(Solution(n, rows)).passed]
     classes = sorted({canonical_form(Solution(n, rows)).sigma for rows in survivors})
-    records = tuple(_record_from_canonical(t) for t in classes)
-    if use_cache:
-        _ORACLE_CACHE[n] = records
-    return list(records)
+    return tuple(_record_from_canonical(t) for t in classes)
 
 
 def _oracle_prefiltered_tables(n: int):

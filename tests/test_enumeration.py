@@ -124,6 +124,30 @@ def test_n8_search_on_a_3_cycle_root():
         assert canonical_form(s).sigma == table
 
 
+class _CheckedMaskSearch(_Search):
+    """A search that runs the exact cascade on every candidate the mask drops."""
+
+    rejected = 0
+
+    def _candidate_mask(self, rows, gmask, k):
+        ok = super()._candidate_mask(rows, gmask, k)
+        for c in np.nonzero(~ok)[0]:
+            assert not self._know(rows[:], gmask[:], k, int(c)), (rows, k, int(c))
+            self.rejected += 1
+        return ok
+
+
+def test_candidate_mask_drops_only_what_know_rejects():
+    # the mask is a vectorized shortcut of the cascade, one step deep; a
+    # candidate it drops that _know would keep is a lost solution
+    for n in (3, 4, 5):
+        search = _CheckedMaskSearch(n)
+        search.run(canonical_root_rows(n))
+        assert search.rejected > 0
+        if n in EXPECTED_STATS:
+            assert search.stats == EXPECTED_STATS[n]
+
+
 def _disjoint_union(a, b):
     """Each part acts on its own points by its sigma rows and fixes the other part."""
     na, nb = len(a), len(b)
