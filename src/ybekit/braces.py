@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ConstructionError
-from .perms import Perm, compose, identity, inverse
+from .perms import Perm, compose, inverse
 from .permgroup import PermGroup
 from .solutions import Solution, is_irretractable, solution_group
 
@@ -36,14 +36,14 @@ DEFAULT_BRACE_CAP = 2000
 
 @dataclass(frozen=True)
 class FiniteBrace:
-    """Elements plus dense multiplication/addition/lambda tables.
+    """A permutation group plus dense multiplication/addition/lambda tables.
 
-    `elements[0]` is the shared neutral element. `row_index[x]` is the index
-    of the sigma row of point x when the brace was built from a solution.
+    `group` is the permutation group the brace was built on; table index i
+    is `group.elements[i]`, so index 0 is the identity, the shared neutral
+    element. `row_index[x]` is the index of the sigma row of point x.
     """
 
-    degree: int
-    elements: tuple[Perm, ...]
+    group: PermGroup
     mul: np.ndarray
     add: np.ndarray
     lam: np.ndarray
@@ -53,12 +53,12 @@ class FiniteBrace:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.group.order
 
     def to_json(self, include_lambda: bool = False) -> dict:
         out = {
             "order": self.order,
-            "elements": [list(p) for p in self.elements],
+            "elements": [list(p) for p in self.group.elements],
             "mul": self.mul.tolist(),
             "add": self.add.tolist(),
         }
@@ -102,8 +102,7 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
     if k > cap:
         raise BudgetExceededError(f"brace order {k} exceeds cap {cap}")
 
-    e = identity(s.n)
-    elements = (e,) + tuple(p for p in group.elements if p != e)
+    elements = group.elements
     eidx = {p: i for i, p in enumerate(elements)}
     row_index = tuple(eidx[row] for row in s.sigma)
 
@@ -164,8 +163,7 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
     lam = add[mul, neg[:, None]]  # lambda_a(b) = a*b - a
 
     brace = FiniteBrace(
-        degree=s.n,
-        elements=elements,
+        group=group,
         mul=mul,
         add=add,
         lam=lam,
@@ -427,7 +425,7 @@ def lambda_matches_action(b: FiniteBrace, s: Solution) -> bool:
     Table form of the covariance identity: for every brace element g and
     every point x, lambda_g(sigma_x) == sigma_{g(x)} as elements.
     """
-    for i, g in enumerate(b.elements):
+    for i, g in enumerate(b.group.elements):
         for x in range(s.n):
             if int(b.lam[i, b.row_index[x]]) != b.row_index[g[x]]:
                 return False

@@ -6,7 +6,8 @@ default (--pretty switches to an indented human-readable form). Exit codes
 are fixed so CI can discriminate failure classes:
 
     0  success
-    1  I/O or parse error (unreadable file, malformed JSON, non-permutation rows)
+    1  I/O, parse or usage error (unreadable file, malformed JSON,
+       non-permutation rows, unknown or missing option)
     2  invalid solution (an axiom fails)
     3  budget exceeded (size guard, order cap or time budget)
     4  classification shape failure (a primitive class of impossible form)
@@ -127,8 +128,6 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         time_budget_secs=cfg.time_budget_secs,
     )
     budget = {
-        "group_order_cap": cfg.group_order_cap,
-        "brace_order_cap": cfg.brace_order_cap,
         "time_budget_secs": cfg.time_budget_secs,
         "threads": cfg.threads,
         "allow_large": cfg.allow_large,
@@ -162,8 +161,16 @@ def cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exit 2 means an invalid solution here, so usage errors exit EXIT_IO."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ybekit",
         description=(
             "validate, analyze, enumerate and classify involutive "
@@ -176,18 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indented human-readable output")
     common.add_argument("--output", help="write the result to this path")
-    common.add_argument(
-        "--group-cap", type=int, default=DEFAULT_ORDER_CAP, help="group order cap"
-    )
-    common.add_argument(
-        "--brace-cap", type=int, default=DEFAULT_BRACE_CAP, help="brace order cap"
-    )
 
     p = sub.add_parser("validate", parents=[common], help="check the three axioms")
     p.add_argument("source", help="path to a solution JSON file, or inline JSON")
 
     p = sub.add_parser("analyze", parents=[common], help="full record for one solution")
     p.add_argument("source", help="path to a solution JSON file, or inline JSON")
+    p.add_argument("--group-cap", type=int, default=DEFAULT_ORDER_CAP, help="group order cap")
+    p.add_argument("--brace-cap", type=int, default=DEFAULT_BRACE_CAP, help="brace order cap")
 
     p = sub.add_parser("enumerate", parents=[common], help="enumerate all classes of one size")
     p.add_argument("--n", type=int, required=True, help="set size")
@@ -215,8 +218,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         source=getattr(args, "source", None),
         n=getattr(args, "n", None),
         n_max=getattr(args, "n_max", None),
-        group_order_cap=args.group_cap,
-        brace_order_cap=args.brace_cap,
+        group_order_cap=getattr(args, "group_cap", DEFAULT_ORDER_CAP),
+        brace_order_cap=getattr(args, "brace_cap", DEFAULT_BRACE_CAP),
         time_budget_secs=time_budget,
         output=args.output,
         csv_path=getattr(args, "csv", None),

@@ -46,8 +46,11 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import symtab
+# check_brace_axiom and additive_identities_check are unused here but stay
+# importable from this module: the bench tracer patches them by name.
 from .braces import (
     DEFAULT_BRACE_CAP,
+    FiniteBrace,
     additive_identities_check,
     associated_solution,
     brace_from_solution,
@@ -61,7 +64,7 @@ from .braces import (
 )
 from .catalog import CatalogRecord
 from .errors import BudgetExceededError, ClassificationShapeError
-from .permgroup import DEFAULT_ORDER_CAP
+from .permgroup import DEFAULT_ORDER_CAP, PermGroup
 from .perms import Perm, cycle_type
 from .solutions import (
     Solution,
@@ -450,12 +453,11 @@ def _brace_trivial_by_rows(s: Solution) -> bool:
     )
 
 
-def _flags(s: Solution, group_cap: int = DEFAULT_ORDER_CAP) -> dict:
-    group = solution_group(s)
+def _flags(s: Solution, group: PermGroup, group_cap: int = DEFAULT_ORDER_CAP) -> dict:
     if group.order > group_cap:
         raise BudgetExceededError(f"group order {group.order} exceeds cap {group_cap}")
     return {
-        "indecomposable": s.n == 1 or group.is_transitive(),
+        "indecomposable": group.is_transitive(),
         "irretractable": is_irretractable(s),
         "primitive": group.is_primitive(),
         "mpl": multipermutation_level(s),
@@ -466,27 +468,24 @@ def _flags(s: Solution, group_cap: int = DEFAULT_ORDER_CAP) -> dict:
 
 def _record_from_canonical(table: tuple[Perm, ...]) -> CatalogRecord:
     s = Solution(len(table), table)
-    return CatalogRecord(n=s.n, sigma=s.sigma, valid=True, **_flags(s))
+    return CatalogRecord(n=s.n, sigma=s.sigma, valid=True, **_flags(s, solution_group(s)))
 
 
-def invariant_suite(s: Solution, brace_cap: int = DEFAULT_BRACE_CAP) -> bool:
+def invariant_suite(s: Solution, brace: FiniteBrace) -> bool:
     """
-    The structural cross-check battery for one validated solution: the
-    covariance identity between the lambda maps and the group action, both
-    brace identities, socle coherence, sigma-class invariance, validity of
-    the brace-associated solution, solvability of the group, and the Sylow
-    system checks (including cross-part factorization when the order is
-    divisible by at least two primes).
+    The structural cross-check battery for a validated solution and its
+    brace: lambda/action covariance, socle coherence, sigma-class
+    invariance, validity of the brace-associated solution, solvability of
+    the group, and the Sylow system checks (with cross-part factorization
+    when two or more primes divide the order). The brace construction
+    already verified the compatibility axiom and the difference identities.
     """
-    brace = brace_from_solution(s, cap=brace_cap)
     checks = [
         lambda_matches_action(brace, s),
-        check_brace_axiom(brace),
-        additive_identities_check(brace),
         socle_is_ideal(brace),
         sigma_class_blocks(s).generator_invariant,
         validate(associated_solution(brace)).passed,
-        solution_group(s).is_solvable(),
+        brace.group.is_solvable(),
         is_trivial_brace(brace) == _brace_trivial_by_rows(s),
     ]
     decomposition = sylow_decomposition(brace)
@@ -510,8 +509,9 @@ def analyze(
     if not report.passed:
         return CatalogRecord(n=s.n, sigma=s.sigma, valid=False)
     sigma = canonical_form(s).sigma if s.n <= symtab.MAX_DEGREE else s.sigma
-    flags = _flags(s, group_cap=group_cap)
-    ok = invariant_suite(s, brace_cap=brace_cap)
+    brace = brace_from_solution(s, cap=brace_cap)
+    flags = _flags(s, brace.group, group_cap)
+    ok = invariant_suite(s, brace)
     return CatalogRecord(n=s.n, sigma=sigma, valid=True, invariants_ok=ok, **flags)
 
 

@@ -199,8 +199,6 @@ def solution_group(s: Solution) -> PermGroup:
 
 def is_indecomposable(s: Solution) -> bool:
     """True iff the group generated by the sigma rows is transitive."""
-    if s.n == 1:
-        return True
     return solution_group(s).is_transitive()
 
 

@@ -17,7 +17,7 @@ from ybekit.braces import (
     socle_is_ideal,
     sylow_decomposition,
 )
-from ybekit.errors import BudgetExceededError
+from ybekit.errors import BudgetExceededError, ConstructionError
 from ybekit.solutions import Solution, validate
 
 # derived by exhaustive search: an irretractable size-4 class (group of order 8)
@@ -145,3 +145,17 @@ def test_lambda_is_action_on_generators():
                 gx = b.row_index[x]
                 gy = b.row_index[y]
                 assert int(b.lam[gx, gy]) == b.row_index[s.sigma[x][y]]
+
+
+@pytest.mark.parametrize(
+    "finder, witness, message",
+    [
+        ("find_brace_axiom_counterexample", (0, 0, 0), "compatibility axiom"),
+        ("find_additive_identity_counterexample", (0, 0), "difference identities"),
+    ],
+)
+def test_construction_rejects_brace_identity_witness(monkeypatch, finder, witness, message):
+    # the invariant suite relies on the construction to check both identities
+    monkeypatch.setattr(f"ybekit.braces.{finder}", lambda b: witness)
+    with pytest.raises(ConstructionError, match=message):
+        brace_from_solution(IRRETRACTABLE4)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ybekit.catalog import read_catalog
 from ybekit.cli import main
 from ybekit.enumeration import analyze
@@ -138,8 +140,41 @@ def test_classify_degenerate(capsys):
     assert out["per_n"] == {}
 
 
-def test_bad_caps(capsys):
-    assert main(["classify", "--n-max", "3", "--group-cap", "0"]) == 1
+def test_bad_caps(tmp_path, capsys):
+    path = write(tmp_path, "s.json", {"n": 1, "sigma": [[0]]})
+    assert main(["analyze", path, "--group-cap", "0"]) == 1
+    assert main(["analyze", path, "--brace-cap", "0"]) == 1
+
+
+def test_analyze_caps_exceeded(tmp_path, capsys):
+    path = write(tmp_path, "c5.json", {"n": 5, "sigma": [[1, 2, 3, 4, 0]] * 5})
+    assert main(["analyze", path, "--group-cap", "4"]) == 3
+    assert "group order 5 exceeds cap 4" in capsys.readouterr().err
+    assert main(["analyze", path, "--brace-cap", "4"]) == 3
+    assert "brace order 5 exceeds cap 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate"],
+        ["enumerate", "--n", "x"],
+        ["validate", "--no-such-flag", "s.json"],
+        ["enumerate", "--n", "3", "--group-cap", "5"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["analyze", "--help"]])
+def test_version_and_help_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
 
 
 def test_env_budget(tmp_path, capsys, monkeypatch):

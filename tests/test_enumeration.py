@@ -16,6 +16,7 @@ from ybekit.enumeration import (
     oracle_enumerate,
 )
 from ybekit.errors import BudgetExceededError
+from ybekit.permgroup import PermGroup
 from ybekit.solutions import Solution, canonical_form, relabel, validate
 
 # frozen regression counts, established by the exhaustive oracle (n <= 4)
@@ -247,6 +248,20 @@ def test_analyze_examples():
     rec = analyze(Solution.from_rows([[0, 1], [1, 0]]))
     assert not rec.valid
     assert rec.indecomposable is None and rec.group_order is None
+
+
+def test_analyze_closes_the_group_once(monkeypatch):
+    calls = []
+    closure = PermGroup.closure.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return closure(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "closure", classmethod(counted))
+    rec = analyze(Solution.permutation_solution((1, 2, 3, 4, 0)))
+    assert rec.invariants_ok and rec.group_order == 5
+    assert len(calls) == 1
 
 
 def test_classify_small():
