@@ -5,6 +5,9 @@ structure on the permutation group, exhaustive isomorph-free enumeration,
 and the classification of primitive solutions at small sizes.
 """
 
+# Defined before the submodule imports, which import it from the package.
+__version__ = "0.1.0"
+
 from .braces import (
     FiniteBrace,
     SylowDecomposition,
@@ -53,5 +56,3 @@ from .solutions import (
     solution_group,
     validate,
 )
-
-__version__ = "0.1.0"

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConstructionError
+from .errors import ConstructionError
 from .perms import Perm, compose, inverse
 from .permgroup import PermGroup
-from .solutions import Solution, is_irretractable, solution_group
+from .solutions import Solution, is_irretractable
 
 DEFAULT_BRACE_CAP = 2000
 
@@ -95,12 +95,12 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
 
     Multiplication is permutation composition. Addition starts from the
     generator recurrence a + sigma_y = a o sigma_{a^{-1}(y)} and is closed
-    column by column; the finished tables are fully re-verified.
+    column by column; the finished tables are fully re-verified. The group
+    is expanded under `cap`, so a group of larger order raises
+    BudgetExceededError before it is built in full.
     """
-    group = solution_group(s)
+    group = PermGroup.closure(sorted(set(s.sigma)), degree=s.n, cap=cap)
     k = group.order
-    if k > cap:
-        raise BudgetExceededError(f"brace order {k} exceeds cap {cap}")
 
     elements = group.elements
     eidx = {p: i for i, p in enumerate(elements)}

@@ -8,11 +8,13 @@ store the canonical sigma table plus the computed flags.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable
 
+from . import __version__
 from .errors import InvalidSolutionError
 from .perms import Perm
+from .solutions import Solution
 
 
 @dataclass(frozen=True)
@@ -40,37 +42,18 @@ class CatalogRecord:
             raise AssertionError("flags inconsistent: primitive implies indecomposable")
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "sigma": [list(row) for row in self.sigma],
-            "valid": self.valid,
-            "indecomposable": self.indecomposable,
-            "irretractable": self.irretractable,
-            "primitive": self.primitive,
-            "mpl": self.mpl,
-            "group_order": self.group_order,
-            "brace_trivial": self.brace_trivial,
-            "invariants_ok": self.invariants_ok,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["sigma"] = [list(row) for row in self.sigma]
+        return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "CatalogRecord":
-        try:
-            sigma = tuple(tuple(int(v) for v in row) for row in data["sigma"])
-            return cls(
-                n=int(data["n"]),
-                sigma=sigma,
-                valid=bool(data["valid"]),
-                indecomposable=data.get("indecomposable"),
-                irretractable=data.get("irretractable"),
-                primitive=data.get("primitive"),
-                mpl=data.get("mpl"),
-                group_order=data.get("group_order"),
-                brace_trivial=data.get("brace_trivial"),
-                invariants_ok=data.get("invariants_ok"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidSolutionError(f"malformed catalog record: {exc}") from exc
+    def from_json(cls, data: Any) -> "CatalogRecord":
+        """Parse one record; n and sigma follow the rules of a solution file."""
+        s = Solution.from_json(data)
+        if not isinstance(data.get("valid"), bool):
+            raise InvalidSolutionError(f'"valid" must be true or false, not {data.get("valid")!r}')
+        flags = {f.name: data.get(f.name) for f in fields(cls) if f.name not in ("n", "sigma")}
+        return cls(n=s.n, sigma=s.sigma, **flags)
 
 
 def write_catalog(
@@ -78,13 +61,12 @@ def write_catalog(
     n: int,
     records: Iterable[CatalogRecord],
     budget: dict[str, Any] | None = None,
-    version: str = "0.1.0",
 ) -> None:
     """Write a JSON-lines catalog: header object first, one record per line."""
     header = {
         "header": True,
         "tool": "ybekit",
-        "version": version,
+        "version": __version__,
         "n": n,
         "budget": budget or {},
     }
@@ -95,13 +77,30 @@ def write_catalog(
 
 
 def read_catalog(path: str) -> tuple[dict, list[CatalogRecord]]:
-    """Read a JSON-lines catalog back as (header, records)."""
+    """Read a JSON-lines catalog back as (header, records).
+
+    A malformed line raises InvalidSolutionError naming its line number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
+        text = fh.read()
+    header, records = None, []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if header is None:
+                if not isinstance(obj, dict) or not obj.get("header"):
+                    raise InvalidSolutionError("catalog file does not start with a header line")
+                header = obj
+            else:
+                records.append(CatalogRecord.from_json(obj))
+        except json.JSONDecodeError as exc:
+            raise InvalidSolutionError(
+                f"catalog line {lineno}: malformed JSON: {exc.msg}"
+            ) from exc
+        except InvalidSolutionError as exc:
+            raise InvalidSolutionError(f"catalog line {lineno}: {exc}") from exc
+    if header is None:
         raise InvalidSolutionError("empty catalog file")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or not header.get("header"):
-        raise InvalidSolutionError("catalog file does not start with a header line")
-    records = [CatalogRecord.from_json(json.loads(line)) for line in lines[1:]]
     return header, records

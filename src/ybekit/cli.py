@@ -7,13 +7,15 @@ are fixed so CI can discriminate failure classes:
 
     0  success
     1  I/O, parse or usage error (unreadable file, malformed JSON,
-       non-permutation rows, unknown or missing option)
+       non-permutation rows, unknown, missing or out-of-range option,
+       closed output pipe)
     2  invalid solution (an axiom fails)
-    3  budget exceeded (size guard, order cap or time budget)
+    3  budget exceeded (size guard, brace order cap or time budget)
     4  classification shape failure (a primitive class of impossible form)
 
-The environment variable YBEKIT_BUDGET_SECS overrides the time budget for
-enumeration and classification runs.
+`analyze --brace-cap` is the one order cap. Time budgets are in seconds and
+must be positive; the environment variable YBEKIT_BUDGET_SECS sets the
+default time budget of enumerate and classify, and no other command reads it.
 """
 from __future__ import annotations
 
@@ -22,14 +24,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .braces import DEFAULT_BRACE_CAP
 from .catalog import write_catalog
 from .enumeration import analyze, classify_primitive, fast_enumerate
 from .errors import BudgetExceededError, InvalidSolutionError, ClassificationShapeError
-from .permgroup import DEFAULT_ORDER_CAP
 from .solutions import Solution, validate
 
 EXIT_OK = 0
@@ -39,55 +39,26 @@ EXIT_BUDGET = 3
 EXIT_SHAPE = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    source: str | None = None
-    n: int | None = None
-    n_max: int | None = None
-    group_order_cap: int = DEFAULT_ORDER_CAP
-    brace_order_cap: int = DEFAULT_BRACE_CAP
-    time_budget_secs: float | None = None
-    output: str | None = None
-    csv_path: str | None = None
-    threads: int = 1
-    allow_large: bool = False
-    pretty: bool = False
-
-    def __post_init__(self) -> None:
-        if self.group_order_cap <= 0 or self.brace_order_cap <= 0:
-            raise ValueError("caps must be positive")
-        if self.n is not None and self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-
-
-def _emit(data: dict, cfg: RunConfig) -> None:
-    text = json.dumps(data, indent=2 if cfg.pretty else None, sort_keys=True)
-    if cfg.output and cfg.command in ("validate", "analyze", "classify"):
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _emit(data: dict, args: argparse.Namespace) -> None:
+    text = json.dumps(data, indent=2 if args.pretty else None, sort_keys=True)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
 
 
-def _load_solution(source: str) -> Solution:
-    """Read a solution from a file path, or from inline JSON starting with '{'."""
-    if source.lstrip().startswith("{"):
-        raw = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    data = json.loads(raw)
-    return Solution.from_json(data)
-
-
 def _load_or_report(source: str) -> Solution | None:
-    """`_load_solution`, with any input error printed to stderr and mapped to None."""
+    """Read a solution from a file path, or from inline JSON starting with '{'.
+
+    Any input error is printed to stderr and mapped to None.
+    """
     try:
-        return _load_solution(source)
+        if source.lstrip().startswith("{"):
+            raw = source
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        return Solution.from_json(json.loads(raw))
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:
@@ -102,38 +73,38 @@ def _load_or_report(source: str) -> Solution | None:
     return None
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    s = _load_or_report(cfg.source)
+def cmd_validate(args: argparse.Namespace) -> int:
+    s = _load_or_report(args.source)
     if s is None:
         return EXIT_IO
     report = validate(s)
-    _emit(report.to_json(), cfg)
+    _emit(report.to_json(), args)
     return EXIT_OK if report.passed else EXIT_INVALID
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    s = _load_or_report(cfg.source)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    s = _load_or_report(args.source)
     if s is None:
         return EXIT_IO
-    record = analyze(s, group_cap=cfg.group_order_cap, brace_cap=cfg.brace_order_cap)
-    _emit(record.to_json(), cfg)
+    record = analyze(s, brace_cap=args.brace_cap)
+    _emit(record.to_json(), args)
     return EXIT_OK if record.valid else EXIT_INVALID
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     records = fast_enumerate(
-        cfg.n,
-        threads=cfg.threads,
-        allow_large=cfg.allow_large,
-        time_budget_secs=cfg.time_budget_secs,
+        args.n,
+        threads=args.threads,
+        allow_large=args.allow_large,
+        time_budget_secs=args.time_budget,
     )
     budget = {
-        "time_budget_secs": cfg.time_budget_secs,
-        "threads": cfg.threads,
-        "allow_large": cfg.allow_large,
+        "time_budget_secs": args.time_budget,
+        "threads": args.threads,
+        "allow_large": args.allow_large,
     }
-    if cfg.output:
-        write_catalog(cfg.output, cfg.n, records, budget=budget, version=__version__)
+    if args.output:
+        write_catalog(args.output, args.n, records, budget=budget)
     tallies = {
         "classes": len(records),
         "indecomposable": sum(1 for r in records if r.indecomposable),
@@ -142,22 +113,22 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         "multipermutation": sum(1 for r in records if r.mpl is not None),
         "brace_trivial": sum(1 for r in records if r.brace_trivial),
     }
-    summary = {"n": cfg.n, "tallies": tallies, "output": cfg.output}
-    print(json.dumps(summary, indent=2 if cfg.pretty else None, sort_keys=True))
+    summary = {"n": args.n, "tallies": tallies, "output": args.output}
+    print(json.dumps(summary, indent=2 if args.pretty else None, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     report = classify_primitive(
-        cfg.n_max,
-        threads=cfg.threads,
-        allow_large=cfg.allow_large,
-        time_budget_secs=cfg.time_budget_secs,
+        args.n_max,
+        threads=args.threads,
+        allow_large=args.allow_large,
+        time_budget_secs=args.time_budget,
     )
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", newline="", encoding="utf-8") as fh:
+    if args.csv:
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(report.csv_rows())
-    _emit(report.to_json(), cfg)
+    _emit(report.to_json(), args)
     return EXIT_OK
 
 
@@ -184,66 +155,68 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pretty", action="store_true", help="indented human-readable output")
     common.add_argument("--output", help="write the result to this path")
 
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--threads", type=int, default=1)
+    search.add_argument("--allow-large", action="store_true", help="permit the extended n=8 run")
+    search.add_argument(
+        "--time-budget",
+        type=float,
+        default=os.environ.get("YBEKIT_BUDGET_SECS"),
+        help="seconds before aborting (default: $YBEKIT_BUDGET_SECS, else none)",
+    )
+
     p = sub.add_parser("validate", parents=[common], help="check the three axioms")
     p.add_argument("source", help="path to a solution JSON file, or inline JSON")
+    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("analyze", parents=[common], help="full record for one solution")
     p.add_argument("source", help="path to a solution JSON file, or inline JSON")
-    p.add_argument("--group-cap", type=int, default=DEFAULT_ORDER_CAP, help="group order cap")
-    p.add_argument("--brace-cap", type=int, default=DEFAULT_BRACE_CAP, help="brace order cap")
+    p.add_argument("--brace-cap", type=int, default=DEFAULT_BRACE_CAP, help="group order cap")
+    p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("enumerate", parents=[common], help="enumerate all classes of one size")
+    p = sub.add_parser(
+        "enumerate", parents=[common, search], help="enumerate all classes of one size"
+    )
     p.add_argument("--n", type=int, required=True, help="set size")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--allow-large", action="store_true", help="permit the extended n=8 run")
-    p.add_argument("--time-budget", type=float, default=None, help="seconds before aborting")
+    p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser("classify", parents=[common], help="primitive classes for sizes 2..n_max")
+    p = sub.add_parser(
+        "classify", parents=[common, search], help="primitive classes for sizes 2..n_max"
+    )
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--csv", help="also write a CSV summary to this path")
+    p.set_defaults(handler=cmd_classify)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    env_budget = os.environ.get("YBEKIT_BUDGET_SECS")
-    time_budget = getattr(args, "time_budget", None)
-    if time_budget is None and env_budget:
-        time_budget = float(env_budget)
-    return RunConfig(
-        command=args.command,
-        source=getattr(args, "source", None),
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        group_order_cap=getattr(args, "group_cap", DEFAULT_ORDER_CAP),
-        brace_order_cap=getattr(args, "brace_cap", DEFAULT_BRACE_CAP),
-        time_budget_secs=time_budget,
-        output=args.output,
-        csv_path=getattr(args, "csv", None),
-        threads=getattr(args, "threads", 1),
-        allow_large=getattr(args, "allow_large", False),
-        pretty=args.pretty,
-    )
+def _range_error(args: argparse.Namespace) -> str | None:
+    """The complaint about the first option value out of range, or None."""
+    values = vars(args)
+    for name in ("n", "n_max", "threads", "brace_cap"):
+        if name in values and values[name] < 1:
+            return f"{name} must be >= 1"
+    budget = values.get("time_budget")
+    if budget is not None and not budget > 0:  # NaN fails too
+        return "time budget must be > 0"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    problem = _range_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_IO
-    handlers = {
-        "validate": cmd_validate,
-        "analyze": cmd_analyze,
-        "enumerate": cmd_enumerate,
-        "classify": cmd_classify,
-    }
     try:
-        return handlers[cfg.command](cfg)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (e.g. `| head`). Point stdout at devnull
+        # so the interpreter's final flush does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -64,7 +64,7 @@ from .braces import (
 )
 from .catalog import CatalogRecord
 from .errors import BudgetExceededError, ClassificationShapeError
-from .permgroup import DEFAULT_ORDER_CAP, PermGroup
+from .permgroup import PermGroup
 from .perms import Perm, cycle_type
 from .solutions import (
     Solution,
@@ -398,11 +398,14 @@ def enumerate_canonical_tables(
     All canonical sigma tables of valid solutions of size n, sorted.
 
     Exhaustive for n <= 7 by default; n = 8 requires allow_large (an
-    extended, multi-hour run); larger n is refused outright. The counters of
-    the search are merged into stats, also when the tables come from the cache.
+    extended, multi-hour run); larger n is refused outright. A time budget,
+    if given, must be > 0 seconds. The counters of the search are merged
+    into stats, also when the tables come from the cache.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
+    if time_budget_secs is not None and not time_budget_secs > 0:  # NaN fails too
+        raise ValueError("time budget must be > 0")
     if n > HARD_LIMIT:
         raise BudgetExceededError(f"enumeration beyond n={HARD_LIMIT} is unsupported")
     if n > DEFAULT_EXHAUSTIVE_LIMIT and not allow_large:
@@ -424,7 +427,7 @@ def _run_search(n: int, threads: int, time_budget_secs: float | None) -> _Enumer
     tab = symtab.get_tables(n)
     tab.ensure_comp()
     roots = canonical_root_rows(n)
-    deadline = time.monotonic() + time_budget_secs if time_budget_secs else None
+    deadline = None if time_budget_secs is None else time.monotonic() + time_budget_secs
 
     if threads <= 1 or len(roots) <= 1:
         search = _Search(n, deadline)
@@ -453,9 +456,7 @@ def _brace_trivial_by_rows(s: Solution) -> bool:
     )
 
 
-def _flags(s: Solution, group: PermGroup, group_cap: int = DEFAULT_ORDER_CAP) -> dict:
-    if group.order > group_cap:
-        raise BudgetExceededError(f"group order {group.order} exceeds cap {group_cap}")
+def _flags(s: Solution, group: PermGroup) -> dict:
     return {
         "indecomposable": group.is_transitive(),
         "irretractable": is_irretractable(s),
@@ -495,22 +496,22 @@ def invariant_suite(s: Solution, brace: FiniteBrace) -> bool:
     return all(checks)
 
 
-def analyze(
-    s: Solution,
-    group_cap: int = DEFAULT_ORDER_CAP,
-    brace_cap: int = DEFAULT_BRACE_CAP,
-) -> CatalogRecord:
+def analyze(s: Solution, brace_cap: int = DEFAULT_BRACE_CAP) -> CatalogRecord:
     """
     Single-solution pipeline: validate, then compute every flag and run the
     invariant suite. Invalid input yields a record with `valid` False and
     all downstream fields absent.
+
+    The flags and the brace share one permutation group, expanded once;
+    `brace_cap` bounds its order during that expansion, and a larger group
+    raises BudgetExceededError.
     """
     report = validate(s)
     if not report.passed:
         return CatalogRecord(n=s.n, sigma=s.sigma, valid=False)
     sigma = canonical_form(s).sigma if s.n <= symtab.MAX_DEGREE else s.sigma
     brace = brace_from_solution(s, cap=brace_cap)
-    flags = _flags(s, brace.group, group_cap)
+    flags = _flags(s, brace.group)
     ok = invariant_suite(s, brace)
     return CatalogRecord(n=s.n, sigma=sigma, valid=True, invariants_ok=ok, **flags)
 

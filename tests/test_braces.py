@@ -18,6 +18,7 @@ from ybekit.braces import (
     sylow_decomposition,
 )
 from ybekit.errors import BudgetExceededError, ConstructionError
+from ybekit.permgroup import PermGroup
 from ybekit.solutions import Solution, validate
 
 # derived by exhaustive search: an irretractable size-4 class (group of order 8)
@@ -124,6 +125,26 @@ def test_permutational_isomorphism_check():
 def test_brace_cap():
     with pytest.raises(BudgetExceededError):
         brace_from_solution(IRRETRACTABLE4, cap=4)
+
+
+def test_brace_cap_bounds_the_closure(monkeypatch):
+    # three 7-cycle permutation solutions side by side: group order 7**3 = 343
+    rows = []
+    for b in range(3):
+        row = list(range(21))
+        row[7 * b : 7 * b + 7] = [7 * b + (i + 1) % 7 for i in range(7)]
+        rows += [row] * 7
+    caps = []
+    closure = PermGroup.closure.__func__
+
+    def spy(cls, *args, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return closure(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "closure", classmethod(spy))
+    with pytest.raises(BudgetExceededError, match="cap 50"):
+        brace_from_solution(Solution.from_rows(rows), cap=50)
+    assert caps == [50]
 
 
 def test_brace_json_export():

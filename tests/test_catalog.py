@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ybekit
 from ybekit.catalog import CatalogRecord, read_catalog, write_catalog
 from ybekit.enumeration import fast_enumerate
 from ybekit.errors import InvalidSolutionError
@@ -14,6 +15,7 @@ def test_jsonl_round_trip(tmp_path):
     header, back = read_catalog(str(path))
     assert header["n"] == 3
     assert header["tool"] == "ybekit"
+    assert header["version"] == ybekit.__version__
     assert header["budget"] == {"threads": 1}
     assert back == records
 
@@ -40,3 +42,20 @@ def test_record_json_round_trip():
 def test_malformed_record():
     with pytest.raises(InvalidSolutionError):
         CatalogRecord.from_json({"n": 2})
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"n": 2, "sigma": [[0, 1], [0, 1]]',
+        json.dumps({"n": 2, "sigma": [[0, 1.7], [0, 1]], "valid": True}),
+        json.dumps({"n": 2, "sigma": [[0, 1], [0, 1]], "valid": "no"}),
+    ],
+    ids=["malformed-json", "float-entry", "non-bool-valid"],
+)
+def test_bad_record_line_rejected(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    write_catalog(str(path), 2, fast_enumerate(2))
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(InvalidSolutionError, match="catalog line 4"):
+        read_catalog(str(path))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from ybekit.catalog import read_catalog
 from ybekit.cli import main
 from ybekit.enumeration import analyze
 from ybekit.solutions import Solution
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(tmp_path, name, payload):
@@ -142,16 +148,13 @@ def test_classify_degenerate(capsys):
 
 def test_bad_caps(tmp_path, capsys):
     path = write(tmp_path, "s.json", {"n": 1, "sigma": [[0]]})
-    assert main(["analyze", path, "--group-cap", "0"]) == 1
     assert main(["analyze", path, "--brace-cap", "0"]) == 1
 
 
 def test_analyze_caps_exceeded(tmp_path, capsys):
     path = write(tmp_path, "c5.json", {"n": 5, "sigma": [[1, 2, 3, 4, 0]] * 5})
-    assert main(["analyze", path, "--group-cap", "4"]) == 3
-    assert "group order 5 exceeds cap 4" in capsys.readouterr().err
     assert main(["analyze", path, "--brace-cap", "4"]) == 3
-    assert "brace order 5 exceeds cap 4" in capsys.readouterr().err
+    assert "order cap 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -185,6 +188,47 @@ def test_env_budget(tmp_path, capsys, monkeypatch):
     _SEARCH_CACHE.pop(6, None)
     assert main(["enumerate", "--n", "6"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "nan"])
+def test_time_budget_must_be_positive(budget, capsys):
+    assert main(["enumerate", "--n", "6", "--time-budget", budget]) == 1
+    assert "time budget must be > 0" in capsys.readouterr().err
+
+
+def test_env_budget_read_by_search_commands_only(capsys, monkeypatch):
+    monkeypatch.setenv("YBEKIT_BUDGET_SECS", "0")
+    assert main(["enumerate", "--n", "6"]) == 1
+    assert "time budget must be > 0" in capsys.readouterr().err
+    monkeypatch.setenv("YBEKIT_BUDGET_SECS", "abc")
+    assert main(["validate", '{"n": 1, "sigma": [[0]]}']) == 0
+
+
+def test_process_exit_codes_and_closed_pipe():
+    """Exit codes as a shell sees them, and a closed stdout ends without a traceback."""
+    argv = [sys.executable, "-m", "ybekit.cli"]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    cases = {
+        0: ["validate", '{"n": 1, "sigma": [[0]]}'],
+        1: ["validate", "{"],
+        2: ["validate", '{"n": 2, "sigma": [[0, 1], [1, 0]]}'],
+        3: ["enumerate", "--n", "8"],
+    }
+    for code, args in cases.items():
+        proc = subprocess.run(argv + args, cwd=ROOT, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+    proc = subprocess.Popen(
+        argv + ["enumerate", "--n", "5"],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
 
 
 def test_pretty_output(tmp_path, capsys):

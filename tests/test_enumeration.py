@@ -63,6 +63,9 @@ def test_enumerate_guards():
         enumerate_canonical_tables(8)
     with pytest.raises(BudgetExceededError):
         enumerate_canonical_tables(9, allow_large=True)
+    for budget in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="time budget"):
+            enumerate_canonical_tables(3, time_budget_secs=budget, use_cache=False)
 
 
 def test_time_budget_is_explicit_error():
