@@ -48,12 +48,22 @@ class CatalogRecord:
 
     @classmethod
     def from_json(cls, data: Any) -> "CatalogRecord":
-        """Parse one record; n and sigma follow the rules of a solution file."""
+        """Parse one record; n and sigma follow the rules of a solution file.
+
+        `valid` must be a JSON bool; every other flag a JSON value of its
+        field's type (bool or int; a bool is not an int) or null.
+        """
         s = Solution.from_json(data)
-        if not isinstance(data.get("valid"), bool):
-            raise InvalidSolutionError(f'"valid" must be true or false, not {data.get("valid")!r}')
-        flags = {f.name: data.get(f.name) for f in fields(cls) if f.name not in ("n", "sigma")}
-        return cls(n=s.n, sigma=s.sigma, **flags)
+        flags = {}
+        for f in fields(cls)[2:]:
+            v, kind = data.get(f.name), bool if f.type.startswith("bool") else int
+            if type(v) is not kind and (v is not None or f.name == "valid"):
+                raise InvalidSolutionError(f'"{f.name}" must be a JSON {kind.__name__}, not {v!r}')
+            flags[f.name] = v
+        try:
+            return cls(n=s.n, sigma=s.sigma, **flags)
+        except AssertionError as exc:  # the flag-consistency rule of __post_init__
+            raise InvalidSolutionError(str(exc)) from exc
 
 
 def write_catalog(

@@ -549,14 +549,14 @@ def _oracle_prefiltered_tables(n: int):
     derived gamma column is a bijection, and the row identity
     sigma_{sigma_x(y)} o sigma_{gamma_y(x)} == sigma_x o sigma_y holds.
     Both follow from the axioms, so no valid table is dropped; survivors
-    still go through the full checker.
+    still go through the full checker. Rows are composed from their image
+    arrays, not through the search's composition table, so a wrong table
+    cannot make both routes drop the same solution.
     """
     tab = symtab.get_tables(n)
-    tab.ensure_comp()
     m = tab.m
     perms_np = tab.np_perms.astype(np.int32)
     inv_np = tab.np_inv.astype(np.int32)
-    comp_np = np.frombuffer(tab.comp_flat, dtype=np.int16).reshape(m, m).astype(np.int32)
     arange_n = np.arange(n)
 
     grids = np.indices((m,) * (n - 1)).reshape(n - 1, -1).T  # rows 1..n-1
@@ -575,9 +575,10 @@ def _oracle_prefiltered_tables(n: int):
         nondeg = (sorted_cols == arange_n[None, :, None]).all(axis=1).all(axis=1)
 
         kk = idx[sel, gam]  # row index of sigma_{gamma_y(x)}
-        lhs = comp_np[j, kk]
-        rhs = comp_np[idx[:, :, None], idx[:, None, :]]
-        mask = nondeg & (lhs == rhs).all(axis=(1, 2))
+        # composed image arrays: lhs[t, x, y, z] = sigma_u(sigma_{gamma_y(x)}(z))
+        lhs = np.take_along_axis(perms_np[j], perms_np[kk], axis=3)
+        rhs = np.take_along_axis(u[:, :, None, :], u[:, None, :, :], axis=3)
+        mask = nondeg & (lhs == rhs).all(axis=(1, 2, 3))
 
         for t_i in np.nonzero(mask)[0]:
             yield tuple(tab.perms[int(v)] for v in idx[t_i])

@@ -46,39 +46,26 @@ class SymTables:
         self.pidx: dict[Perm, int] = {p: i for i, p in enumerate(perms)}
         self.np_perms = np.array(perms, dtype=np.int16)
 
-        inv = np.empty_like(self.np_perms)
-        rng = np.arange(n)
-        for i, p in enumerate(perms):
-            inv[i, list(p)] = rng
-        self.np_inv = inv
-        self.iperms: list[Perm] = [tuple(int(v) for v in row) for row in inv]
+        self.np_inv = np.argsort(self.np_perms, axis=1).astype(np.int16)
+        self.iperms: list[Perm] = list(map(tuple, self.np_inv.tolist()))
         self.invi = array("i", (self.pidx[q] for q in self.iperms))
-
-        # Per-perm cycle data: type (descending lengths) and, per anchor
-        # point, the length of the cycle through it.
-        types: list[tuple[int, ...]] = []
-        anchor_len: list[list[int]] = []
-        lexmin_by_type_anchor: dict[tuple[tuple[int, ...], int], int] = {}
-        for i, p in enumerate(perms):
-            cyc = cycles(p)
-            t = tuple(sorted((len(c) for c in cyc), reverse=True))
-            lens = [0] * n
-            for c in cyc:
-                for x in c:
-                    lens[x] = len(c)
-            types.append(t)
-            anchor_len.append(lens)
-            key = (t, lens[0])
-            if key not in lexmin_by_type_anchor:
-                lexmin_by_type_anchor[key] = i  # first in lex order is the min
-        self.types = types
 
         # mc[c][a]: index of the lex-least conjugate of perms[c] under
         # relabelings sending point a to 0. Equals the lex-least perm with
         # the same cycle type whose 0-cycle has the length of a's cycle.
+        types_lens: list[tuple[tuple[int, ...], list[int]]] = []
+        lexmin_by_type_anchor: dict[tuple[tuple[int, ...], int], int] = {}
+        for i, p in enumerate(perms):
+            cyc = cycles(p)
+            t = tuple(sorted((len(c) for c in cyc), reverse=True))
+            lens = [0] * n  # per point, the length of its cycle
+            for c in cyc:
+                for x in c:
+                    lens[x] = len(c)
+            types_lens.append((t, lens))
+            lexmin_by_type_anchor.setdefault((t, lens[0]), i)  # first in lex order
         self.mc: list[list[int]] = [
-            [lexmin_by_type_anchor[(types[c], anchor_len[c][a])] for a in range(n)]
-            for c in range(self.m)
+            [lexmin_by_type_anchor[(t, lens[a])] for a in range(n)] for t, lens in types_lens
         ]
         self.mc_np = np.array(self.mc, dtype=np.int32)
 
@@ -136,52 +123,15 @@ class SymTables:
 
     def aligners(self, src: int, tgt: int, x0: int) -> Iterator[Perm]:
         """
-        Yield every relabeling f (full-domain bijection) with f(x0) == 0 and
-        f perms[src] f^{-1} == perms[tgt].
+        Yield, in lex order, every relabeling f (full-domain bijection) with
+        f(x0) == 0 and f perms[src] f^{-1} == perms[tgt]. The (n-1)!
+        relabelings pinning x0 to 0 are conjugated in one gather and filtered.
         """
-        if self.types[src] != self.types[tgt]:
-            return
-        p, q = self.perms[src], self.perms[tgt]
-        src_cyc = cycles(p)
-        tgt_cyc = cycles(q)
-        anchor_src = next(c for c in src_cyc if x0 in c)
-        anchor_tgt = next(c for c in tgt_cyc if 0 in c)
-        if len(anchor_src) != len(anchor_tgt):
-            return
-        rest_src = [c for c in src_cyc if c is not anchor_src]
-        rest_tgt = [c for c in tgt_cyc if c is not anchor_tgt]
-
-        base = [-1] * self.n
-        # anchor alignment is rigid: x0 -> 0, then follow both cycles
-        i = anchor_src.index(x0)
-        j = anchor_tgt.index(0)
-        for k in range(len(anchor_src)):
-            base[anchor_src[(i + k) % len(anchor_src)]] = anchor_tgt[(j + k) % len(anchor_tgt)]
-
-        by_len_src: dict[int, list[tuple[int, ...]]] = {}
-        by_len_tgt: dict[int, list[tuple[int, ...]]] = {}
-        for c in rest_src:
-            by_len_src.setdefault(len(c), []).append(c)
-        for c in rest_tgt:
-            by_len_tgt.setdefault(len(c), []).append(c)
-
-        lengths = sorted(by_len_src)
-        g = [base]
-        for length in lengths:
-            srcs = by_len_src[length]
-            tgts = by_len_tgt[length]
-            new_g = []
-            for f in g:
-                for assignment in itertools.permutations(tgts):
-                    for offsets in itertools.product(range(length), repeat=len(srcs)):
-                        f2 = list(f)
-                        for cs, ct, off in zip(srcs, assignment, offsets):
-                            for k in range(length):
-                                f2[cs[k]] = ct[(k + off) % length]
-                        new_g.append(f2)
-            g = new_g
-        for f in g:
-            yield tuple(f)
+        P = self.np_perms
+        f = np.flatnonzero(P[:, x0] == 0)
+        conj = P[f[:, None], P[src][self.np_inv[f]]]  # conj[k, y] = f(p(f^-1(y)))
+        for i in f[(conj == P[tgt]).all(axis=1)]:
+            yield self.perms[i]
 
 
 def get_tables(n: int) -> SymTables:

@@ -50,8 +50,18 @@ def test_malformed_record():
         '{"n": 2, "sigma": [[0, 1], [0, 1]]',
         json.dumps({"n": 2, "sigma": [[0, 1.7], [0, 1]], "valid": True}),
         json.dumps({"n": 2, "sigma": [[0, 1], [0, 1]], "valid": "no"}),
+        json.dumps({"n": 2, "sigma": [[0, 1], [0, 1]], "valid": True, "primitive": 1}),
+        json.dumps({"n": 2, "sigma": [[0, 1], [0, 1]], "valid": True, "mpl": "x"}),
+        json.dumps({"n": 2, "sigma": [[0, 1], [0, 1]], "valid": True, "group_order": True}),
+        json.dumps(
+            {"n": 2, "sigma": [[0, 1], [0, 1]], "valid": True, "primitive": True,
+             "indecomposable": False}
+        ),
     ],
-    ids=["malformed-json", "float-entry", "non-bool-valid"],
+    ids=[
+        "malformed-json", "float-entry", "non-bool-valid", "non-bool-flag", "non-int-mpl",
+        "bool-group-order", "primitive-not-indecomposable",
+    ],
 )
 def test_bad_record_line_rejected(tmp_path, line):
     path = tmp_path / "bad.jsonl"

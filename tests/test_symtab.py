@@ -1,8 +1,11 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
 from ybekit.errors import BudgetExceededError
+from ybekit.perms import cycles
 from ybekit.symtab import SymTables, conjugate, get_tables
 
 
@@ -54,6 +57,35 @@ def test_aligners_match_brute_force():
             }
             got = list(tab.aligners(src, tgt, x0))
             assert len(got) == len(expected) and set(got) == expected
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_aligner_count_is_centralizer_order_over_anchor_orbit(n):
+    """
+    The aligners of (src, mc[src][x0], x0) are a coset of the centralizer
+    C(p) of p = perms[src], cut down to the f sending x0 to 0; C(p) moves x0
+    transitively over the l * m_l points of the l-cycles, so there are
+    |C(p)| / (l * m_l) of them, with |C(p)| = prod l^m_l * m_l!.
+    """
+    tab = get_tables(n)
+    for src, p in enumerate(tab.perms):
+        cyc = cycles(p)
+        mult = Counter(len(c) for c in cyc)
+        order = math.prod(ln**k * math.factorial(k) for ln, k in mult.items())
+        for x0 in range(n):
+            ln = next(len(c) for c in cyc if x0 in c)
+            tgt = tab.mc[src][x0]
+            got = list(tab.aligners(src, tgt, x0))
+            assert len(got) == order // (ln * mult[ln]) == len(set(got))
+            for f in got:
+                assert f[x0] == 0 and conjugate(f, p) == tab.perms[tgt]
+
+
+def test_identity_anchors_have_every_pinned_relabeling_at_n8():
+    tab = get_tables(8)
+    for x0 in range(8):
+        assert tab.mc[0][x0] == 0
+        assert len(list(tab.aligners(0, 0, x0))) == math.factorial(7)
 
 
 def test_aligners_empty_for_type_mismatch():

@@ -1,0 +1,22 @@
+"""Checks on the package itself: its doctests and its declared version."""
+import doctest
+import pathlib
+
+import pytest
+
+import ybekit
+from ybekit import perms
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_perms_doctests_pass():
+    result = doctest.testmod(perms)
+    assert result.failed == 0 and result.attempted >= 9
+
+
+def test_pyproject_version_matches_package():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == ybekit.__version__
