@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
-from .perms import Perm, compose, inverse
+from .perms import Perm, compose
 from .permgroup import PermGroup
 from .solutions import Solution, is_irretractable
 
@@ -102,37 +102,37 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
     group = PermGroup.closure(sorted(set(s.sigma)), degree=s.n, cap=cap)
     k = group.order
 
-    elements = group.elements
-    eidx = {p: i for i, p in enumerate(elements)}
-    row_index = tuple(eidx[row] for row in s.sigma)
+    E = np.array(group.elements, dtype=np.int32).reshape(k, s.n)
+    # rows of big-endian uint32 compare bytewise in lex order, and closure
+    # sorts the elements, so one void key per row finds its index
+    row_key = np.dtype((np.void, 4 * s.n))
+    keys = E.astype(">u4").view(row_key).ravel()
 
-    mul = np.empty((k, k), dtype=np.int32)
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            mul[i, j] = eidx[compose(p, q)]
+    def index_of(perms: np.ndarray) -> np.ndarray:
+        found = np.ascontiguousarray(perms, dtype=">u4").view(row_key)[..., 0]
+        return np.searchsorted(keys, found).astype(np.int32)
 
-    # witnesses of each distinct generator element
-    gen_points: dict[int, list[int]] = {}
-    for y, row in enumerate(s.sigma):
-        gen_points.setdefault(eidx[row], []).append(y)
+    S = np.array(s.sigma, dtype=np.int32)
+    row_index = tuple(int(i) for i in index_of(S))
+    mul = index_of(E[:, E])  # mul[i, j] = index of E[i] o E[j]
 
+    # a + sigma_y = a o sigma_{a^{-1}(y)}, for every element a and point y
+    Einv = np.argsort(E, axis=1).astype(np.int32)
+    gen = index_of(E[np.arange(k)[:, None, None], S[Einv]])
+    first_point = [s.sigma.index(row) for row in s.sigma]
+    if not np.array_equal(gen, gen[:, first_point]):
+        raise ConstructionError(
+            "generator recurrence is ambiguous across equal sigma rows; "
+            "input is not a validated solution"
+        )
     add = np.full((k, k), -1, dtype=np.int32)
     add[0, :] = np.arange(k)
     add[:, 0] = np.arange(k)
-    for i, p in enumerate(elements):
-        ip = inverse(p)
-        for g, ys in gen_points.items():
-            vals = {eidx[compose(p, s.sigma[ip[y]])] for y in ys}
-            if len(vals) != 1:
-                raise ConstructionError(
-                    "generator recurrence is ambiguous across equal sigma rows; "
-                    "input is not a validated solution"
-                )
-            add[i, g] = vals.pop()
+    add[:, row_index] = gen
 
     # close remaining columns: if column p is total and g is a generator
     # column, the column of t = p + g satisfies add[i, t] = add[add[i, p], g].
-    gcols = sorted(gen_points)
+    gcols = sorted(set(row_index))
     filled = {0, *gcols}
     queue = [0, *gcols]
     while queue:
@@ -150,15 +150,11 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
             "input is not a validated solution"
         )
 
-    neg = np.empty(k, dtype=np.int32)
-    minv = np.empty(k, dtype=np.int32)
-    for a in range(k):
-        zeros_add = np.where(add[a] == 0)[0]
-        zeros_mul = np.where(mul[a] == 0)[0]
-        if len(zeros_add) != 1 or len(zeros_mul) != 1:
-            raise ConstructionError("tables are not group tables")
-        neg[a] = zeros_add[0]
-        minv[a] = zeros_mul[0]
+    zeros_add, zeros_mul = add == 0, mul == 0
+    if (zeros_add.sum(axis=1) != 1).any() or (zeros_mul.sum(axis=1) != 1).any():
+        raise ConstructionError("tables are not group tables")
+    neg = zeros_add.argmax(axis=1).astype(np.int32)
+    minv = zeros_mul.argmax(axis=1).astype(np.int32)
 
     lam = add[mul, neg[:, None]]  # lambda_a(b) = a*b - a
 
@@ -176,12 +172,10 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
 
 
 def _is_latin(table: np.ndarray) -> bool:
-    k = table.shape[0]
-    target = np.arange(k)
-    return all(
-        np.array_equal(np.sort(table[a]), target)
-        and np.array_equal(np.sort(table[:, a]), target)
-        for a in range(k)
+    target = np.arange(table.shape[0])
+    return bool(
+        (np.sort(table, axis=0) == target[:, None]).all()
+        and (np.sort(table, axis=1) == target).all()
     )
 
 
@@ -216,13 +210,10 @@ def _verify_construction(b: FiniteBrace) -> None:
         raise ConstructionError(f"compatibility axiom fails at {tri}")
     # lambda rows are additive automorphisms (bijectivity here; additivity
     # is equivalent to the compatibility axiom) and a multiplicative action
-    target = np.arange(k)
-    for a in range(k):
-        if not np.array_equal(np.sort(b.lam[a]), target):
-            raise ConstructionError("a lambda map is not bijective")
-        la = b.lam[a]
-        if not np.array_equal(b.lam[b.mul[a]], la[b.lam]):
-            raise ConstructionError("lambda is not a multiplicative action")
+    if not (np.sort(b.lam, axis=1) == np.arange(k)).all():
+        raise ConstructionError("a lambda map is not bijective")
+    if not np.array_equal(b.lam[b.mul], b.lam[:, b.lam]):  # [a, c, x]
+        raise ConstructionError("lambda is not a multiplicative action")
     if find_additive_identity_counterexample(b) is not None:
         raise ConstructionError("difference identities fail")
 
@@ -286,12 +277,8 @@ def socle(b: FiniteBrace) -> tuple[int, ...]:
     """
     Elements with a*x == a+x for every x; cross-checked against ker(lambda).
     """
-    k = b.order
-    by_tables = tuple(
-        a for a in range(k) if np.array_equal(b.mul[a], b.add[a])
-    )
-    idrow = np.arange(k)
-    by_lambda = tuple(a for a in range(k) if np.array_equal(b.lam[a], idrow))
+    by_tables = tuple(np.flatnonzero((b.mul == b.add).all(axis=1)).tolist())
+    by_lambda = tuple(np.flatnonzero((b.lam == np.arange(b.order)).all(axis=1)).tolist())
     if by_tables != by_lambda:
         raise AssertionError("socle by tables disagrees with kernel of lambda")
     return by_tables
@@ -425,11 +412,8 @@ def lambda_matches_action(b: FiniteBrace, s: Solution) -> bool:
     Table form of the covariance identity: for every brace element g and
     every point x, lambda_g(sigma_x) == sigma_{g(x)} as elements.
     """
-    for i, g in enumerate(b.group.elements):
-        for x in range(s.n):
-            if int(b.lam[i, b.row_index[x]]) != b.row_index[g[x]]:
-                return False
-    return True
+    rows = np.array(b.row_index)
+    return np.array_equal(b.lam[:, rows], rows[np.array(b.group.elements)])
 
 
 def permutational_isomorphism_check(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> bool:

@@ -14,7 +14,7 @@ from typing import Any, Iterable
 from . import __version__
 from .errors import InvalidSolutionError
 from .perms import Perm
-from .solutions import Solution
+from .solutions import Solution, validate
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,22 @@ class CatalogRecord:
         """Parse one record; n and sigma follow the rules of a solution file.
 
         `valid` must be a JSON bool; every other flag a JSON value of its
-        field's type (bool or int; a bool is not an int) or null.
+        field's type (bool or int; a bool is not an int) or null. Keys
+        outside the record's fields are refused, and a record marked valid
+        must pass `validate`.
         """
         s = Solution.from_json(data)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidSolutionError(f"unknown record key(s) {unknown}")
         flags = {}
         for f in fields(cls)[2:]:
             v, kind = data.get(f.name), bool if f.type.startswith("bool") else int
             if type(v) is not kind and (v is not None or f.name == "valid"):
                 raise InvalidSolutionError(f'"{f.name}" must be a JSON {kind.__name__}, not {v!r}')
             flags[f.name] = v
+        if flags["valid"] and not validate(s).passed:
+            raise InvalidSolutionError("record is marked valid but fails validate")
         try:
             return cls(n=s.n, sigma=s.sigma, **flags)
         except AssertionError as exc:  # the flag-consistency rule of __post_init__
@@ -89,7 +96,8 @@ def write_catalog(
 def read_catalog(path: str) -> tuple[dict, list[CatalogRecord]]:
     """Read a JSON-lines catalog back as (header, records).
 
-    A malformed line raises InvalidSolutionError naming its line number.
+    A malformed line, or a record whose n is not the header's, raises
+    InvalidSolutionError naming its line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -105,6 +113,8 @@ def read_catalog(path: str) -> tuple[dict, list[CatalogRecord]]:
                 header = obj
             else:
                 records.append(CatalogRecord.from_json(obj))
+                if records[-1].n != header.get("n"):
+                    raise InvalidSolutionError(f"record n is not the header n = {header.get('n')}")
         except json.JSONDecodeError as exc:
             raise InvalidSolutionError(
                 f"catalog line {lineno}: malformed JSON: {exc.msg}"

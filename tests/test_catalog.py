@@ -57,10 +57,14 @@ def test_malformed_record():
             {"n": 2, "sigma": [[0, 1], [0, 1]], "valid": True, "primitive": True,
              "indecomposable": False}
         ),
+        json.dumps({"n": 3, "sigma": [[0, 1, 2], [0, 1, 2], [0, 1, 2]], "valid": True}),
+        json.dumps({"n": 2, "sigma": [[0, 1], [0, 1]], "valid": True, "bogus": 5}),
+        json.dumps({"n": 2, "sigma": [[1, 0], [0, 1]], "valid": True}),
     ],
     ids=[
         "malformed-json", "float-entry", "non-bool-valid", "non-bool-flag", "non-int-mpl",
-        "bool-group-order", "primitive-not-indecomposable",
+        "bool-group-order", "primitive-not-indecomposable", "n-differs-from-header",
+        "unknown-key", "valid-but-fails-validate",
     ],
 )
 def test_bad_record_line_rejected(tmp_path, line):
@@ -69,3 +73,11 @@ def test_bad_record_line_rejected(tmp_path, line):
     path.write_text(path.read_text() + line + "\n")
     with pytest.raises(InvalidSolutionError, match="catalog line 4"):
         read_catalog(str(path))
+
+
+def test_round_trip_loads_every_enumerated_class(tmp_path, records_up_to_6):
+    # every record is re-validated and checked against the header on read
+    for n, records in records_up_to_6.items():
+        path = tmp_path / f"n{n}.jsonl"
+        write_catalog(str(path), n, records)
+        assert read_catalog(str(path))[1] == records

@@ -32,7 +32,11 @@ def test_validate_axiom_failure(tmp_path, capsys):
     assert main(["validate", path]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["braid"] is False
-    assert out["braid_counterexample"] is not None
+    assert out["braid_counterexample"] == [0, 0, 1]
+    assert out["nondegenerate"] is False
+    assert out["nondegenerate_counterexample"] == [0, 0, 1]
+    assert out["involutive"] is True
+    assert out["involutive_counterexample"] is None
 
 
 def test_validate_structural_failure(tmp_path, capsys):

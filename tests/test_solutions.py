@@ -1,13 +1,16 @@
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import loop_validate
 from ybekit.errors import InvalidSolutionError
 from ybekit.solutions import (
+    _SLAB_TRIPLES,
     Solution,
     canonical_form,
     gamma,
@@ -90,7 +93,12 @@ def test_validate_rejects_swap_table():
     assert not report.passed
     assert not report.nondegenerate
     assert not report.braid
-    assert report.braid_counterexample is not None
+    assert report.braid_counterexample == (0, 0, 1)
+    # gamma_0 sends both points to 0; r is involutive for any table of rows
+    assert report.nondegenerate_counterexample == (0, 0, 1)
+    assert report.involutive and report.involutive_counterexample is None
+    assert report.to_json()["nondegenerate_counterexample"] == [0, 0, 1]
+    assert report.to_json()["involutive_counterexample"] is None
     # re-evaluate the reported counterexample with an independent walk
     s = swap_solution()
     gt = gamma_table(s)
@@ -109,6 +117,59 @@ def test_validate_rejects_swap_table():
 
     t = report.braid_counterexample
     assert r12(r23(r12(t))) != r23(r12(r23(t)))
+
+
+def _row_swaps(sigma):
+    """The table, then each table made from it by swapping two entries of one row."""
+    yield sigma
+    for x, row in enumerate(sigma):
+        for i, j in itertools.combinations(range(len(row)), 2):
+            new = list(row)
+            new[i], new[j] = new[j], new[i]
+            yield sigma[:x] + (tuple(new),) + sigma[x + 1 :]
+
+
+def _corrupted_permutation_solution(n, fixed, seed):
+    """
+    Rows x < `fixed` are the identity and the others one random permutation
+    of the points >= `fixed`; then one of those rows gets two entries
+    swapped. Every row fixes the points below `fixed`, so r(x, y) = (y, x)
+    for x < `fixed` and all triples with such an x satisfy the braid
+    relation: any failure lies at x >= `fixed`.
+    """
+    rng = random.Random(seed)
+    tail = list(range(fixed, n))
+    rng.shuffle(tail)
+    pi = tuple(range(fixed)) + tuple(tail)
+    rows = [tuple(range(n)) if x < fixed else pi for x in range(n)]
+    t = rng.randrange(fixed, n)
+    i, j = rng.sample(range(fixed, n), 2)
+    row = list(rows[t])
+    row[i], row[j] = row[j], row[i]
+    rows[t] = tuple(row)
+    return Solution(n, tuple(rows))
+
+
+def test_validate_matches_loop_reference(records_up_to_5):
+    # every class with n <= 5 and all its single-entry row swaps
+    for n, records in records_up_to_5.items():
+        for rec in records:
+            for sigma in _row_swaps(rec.sigma):
+                s = Solution(n, sigma)
+                assert validate(s) == loop_validate(s), sigma
+
+
+@pytest.mark.parametrize("fixed", [0, 50])
+def test_validate_matches_loop_reference_across_slabs(fixed):
+    n = 72
+    slab = _SLAB_TRIPLES // n**2  # x values per braid slab
+    assert slab < n
+    s = _corrupted_permutation_solution(n, fixed, seed=0)
+    report = validate(s)
+    assert report == loop_validate(s)
+    assert not report.braid
+    if fixed:  # the first failure lies past the first slab
+        assert report.braid_counterexample[0] >= fixed >= slab
 
 
 def test_validate_involutivity_restatement():
