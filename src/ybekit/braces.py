@@ -114,7 +114,9 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
 
     S = np.array(s.sigma, dtype=np.int32)
     row_index = tuple(int(i) for i in index_of(S))
-    mul = index_of(E[:, E])  # mul[i, j] = index of E[i] o E[j]
+    # mul[i, j] = index of E[i] o E[j], in row slabs of at most max(2^20, k n) entries
+    step = max(1, (1 << 20) // (k * s.n))
+    mul = np.concatenate([index_of(E[i : i + step, E]) for i in range(0, k, step)])
 
     # a + sigma_y = a o sigma_{a^{-1}(y)}, for every element a and point y
     Einv = np.argsort(E, axis=1).astype(np.int32)
@@ -212,8 +214,9 @@ def _verify_construction(b: FiniteBrace) -> None:
     # is equivalent to the compatibility axiom) and a multiplicative action
     if not (np.sort(b.lam, axis=1) == np.arange(k)).all():
         raise ConstructionError("a lambda map is not bijective")
-    if not np.array_equal(b.lam[b.mul], b.lam[:, b.lam]):  # [a, c, x]
-        raise ConstructionError("lambda is not a multiplicative action")
+    for a in range(k):  # one a at a time: k x k temporaries, not a k^3 cube
+        if not np.array_equal(b.lam[b.mul[a]], b.lam[a][b.lam]):
+            raise ConstructionError("lambda is not a multiplicative action")
     if find_additive_identity_counterexample(b) is not None:
         raise ConstructionError("difference identities fail")
 

@@ -9,10 +9,9 @@ Only the sigma table is ever stored; gamma is always derived.
 `validate` decides the three defining axioms (involutivity, non-degeneracy
 of the derived gamma maps, and the braid relation on every triple) by
 evaluating both sides literally over numpy arrays, the triples in slabs of
-at most about 2^18, and gives a lex-first witness for each failed axiom.
-Everything downstream -- retraction,
-multipermutation level, indecomposability, canonical forms -- assumes a
-validated solution.
+at most max(2^18, n^2), and gives a lex-first witness for each failed
+axiom. Everything downstream -- retraction, multipermutation level,
+indecomposability, canonical forms -- assumes a validated solution.
 """
 from __future__ import annotations
 
@@ -154,7 +153,7 @@ class ValidationReport:
         return out
 
 
-# Braid triples per slab of x: int32 temporaries stay near 1 MB for any n.
+# Braid triples per slab of x; a slab holds at least one x, so n^2 if n > 512.
 _SLAB_TRIPLES = 1 << 18
 
 
@@ -169,7 +168,7 @@ def validate(s: Solution) -> ValidationReport:
     braid: r12 r23 r12 (x, y, z) = (e, f, d), where (a, b) = r(x, y),
     (c, d) = r(b, z), (e, f) = r(a, c), equals r23 r12 r23 (x, y, z) =
     (i, k, m), where (g, h) = r(y, z), (i, j) = r(x, g), (k, m) = r(j, h).
-    It is evaluated on slabs of consecutive x of at most about 2^18
+    It is evaluated on slabs of consecutive x of at most max(2^18, n^2)
     triples, in order, so the first failing slab holds the lex-first
     failing triple. Each failed axiom reports its lex-first witness.
     """

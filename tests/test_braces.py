@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ybekit.braces import (
+    _verify_construction,
     additive_identities_check,
     additive_order,
     associated_solution,
@@ -19,6 +23,7 @@ from ybekit.braces import (
 )
 from ybekit.errors import BudgetExceededError, ConstructionError
 from ybekit.permgroup import PermGroup
+from ybekit.perms import compose
 from ybekit.solutions import Solution, validate
 
 # derived by exhaustive search: an irretractable size-4 class (group of order 8)
@@ -180,3 +185,33 @@ def test_construction_rejects_brace_identity_witness(monkeypatch, finder, witnes
     monkeypatch.setattr(f"ybekit.braces.{finder}", lambda b: witness)
     with pytest.raises(ConstructionError, match=message):
         brace_from_solution(IRRETRACTABLE4)
+
+
+def test_construction_rejects_non_action():
+    # constant bijective lambda rows P give lambda_{ab} = P but lambda_a lambda_b = P^2
+    b = brace_from_solution(MIXED6)
+    shift = np.roll(np.arange(b.order), 1)
+    with pytest.raises(ConstructionError, match="not a multiplicative action"):
+        _verify_construction(dataclasses.replace(b, lam=np.tile(shift, (b.order, 1))))
+
+
+def test_large_cyclic_brace_tables_and_check_memory():
+    # one 24-point permutation of cycle type (3, 5, 16): a cyclic group of order 240,
+    # large enough that mul is gathered in more than one row slab
+    pi = [0] * 24
+    for start, length in ((0, 3), (3, 5), (8, 16)):
+        for i in range(length):
+            pi[start + i] = start + (i + 1) % length
+    b = brace_from_solution(Solution.permutation_solution(tuple(pi)))
+    k, elements = b.order, b.group.elements
+    assert k == 240
+    index = {p: i for i, p in enumerate(elements)}
+    assert b.mul.tolist() == [[index[compose(p, q)] for q in elements] for p in elements]
+    # the construction checks keep k x k temporaries; one k^3 int32 cube is 960 k^2 bytes
+    tracemalloc.start()
+    try:
+        _verify_construction(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * k * k
