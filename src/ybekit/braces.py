@@ -22,6 +22,7 @@ always the shared neutral element.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +76,19 @@ class SylowDecomposition:
     parts: tuple[tuple[int, ...], ...]
 
 
-def _prime_factors(k: int) -> list[int]:
-    out = []
+def _prime_powers(k: int) -> dict[int, int]:
+    """p: p^e for each prime p dividing k, with p^e the largest power dividing k."""
+    out = {}
     d = 2
     while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
+        q = 1
+        while k % d == 0:
+            k, q = k // d, q * d
+        if q > 1:
+            out[d] = q
         d += 1
     if k > 1:
-        out.append(k)
+        out[k] = k
     return out
 
 
@@ -181,28 +184,41 @@ def _is_latin(table: np.ndarray) -> bool:
     )
 
 
-def _assoc_counterexample(table: np.ndarray) -> tuple[int, int, int] | None:
-    k = table.shape[0]
-    for a in range(k):
-        ra = table[a]
-        lhs = table[ra]  # lhs[b, c] = table[table[a, b], c]
-        rhs = ra[table]  # rhs[b, c] = table[a, table[b, c]]
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            return (a, int(b), int(c))
-    return None
+def _generated(table: np.ndarray, gens: np.ndarray) -> bool:
+    """True iff the closure of `gens` under the operation of `table` is every index."""
+    reached, r = np.bincount(gens, minlength=len(table)) > 0, gens[:0]
+    while reached.sum() > len(r):
+        r = np.flatnonzero(reached)
+        reached[table[r[:, None], r]] = True
+    return bool(reached.all())
 
 
 def _verify_construction(b: FiniteBrace) -> None:
+    """
+    Re-verify the finished tables; raise ConstructionError on any failure.
+
+    Associativity, compatibility and the action property are decided exactly
+    on the generators G = sorted(set(row_index)). Light's test: the a with
+    (x a) y = x (a y) for all x, y are closed under the operation, as
+    (x (a c)) y = ((x a) c) y = (x a) (c y) = x (a (c y)) = x ((a c) y); so G
+    suffices once G itself, not index 0, is shown to generate the table. With
+    `add` an abelian group and `mul` a group, the axiom at a makes lambda_a(x)
+    = a x - a additive, and then lambda_{ab} = lambda_a lambda_b; so the a
+    where it holds are closed under `mul`, as are the a with lam[a c] =
+    lam[a] lam[c] for all c.
+    """
     k = b.order
     if not np.array_equal(b.add, b.add.T):
         raise ConstructionError("addition is not commutative")
     if not _is_latin(b.add) or not _is_latin(b.mul):
         raise ConstructionError("a table is not a Latin square")
-    if _assoc_counterexample(b.add) is not None:
-        raise ConstructionError("addition is not associative")
-    if _assoc_counterexample(b.mul) is not None:
-        raise ConstructionError("multiplication is not associative")
+    gens = np.array(sorted(set(b.row_index)), dtype=np.intp)
+    for table, op in ((b.add, "addition"), (b.mul, "multiplication")):
+        if not _generated(table, gens):
+            raise ConstructionError(f"the generators do not reach every element by {op}")
+        # (x a) y == x (a y) for a in G, one a at a time: k x k temporaries
+        if not all(np.array_equal(table[table[:, a]], table[:, table[a]]) for a in gens):
+            raise ConstructionError(f"{op} is not associative")
     if not np.array_equal(b.add[0], np.arange(k)) or not np.array_equal(
         b.mul[0], np.arange(k)
     ):
@@ -214,16 +230,16 @@ def _verify_construction(b: FiniteBrace) -> None:
     # is equivalent to the compatibility axiom) and a multiplicative action
     if not (np.sort(b.lam, axis=1) == np.arange(k)).all():
         raise ConstructionError("a lambda map is not bijective")
-    for a in range(k):  # one a at a time: k x k temporaries, not a k^3 cube
-        if not np.array_equal(b.lam[b.mul[a]], b.lam[a][b.lam]):
-            raise ConstructionError("lambda is not a multiplicative action")
+    if not all(np.array_equal(b.lam[b.mul[a]], b.lam[a][b.lam]) for a in gens):
+        raise ConstructionError("lambda is not a multiplicative action")
     if find_additive_identity_counterexample(b) is not None:
         raise ConstructionError("difference identities fail")
 
 
 def find_brace_axiom_counterexample(b: FiniteBrace) -> tuple[int, int, int] | None:
-    """First triple violating a*(b+c)+a == a*b+a*c, or None."""
-    for a in range(b.order):
+    """First triple violating a*(b+c)+a == a*b+a*c with a a generator, or None;
+    exact for group tables generated by the rows (see `_verify_construction`)."""
+    for a in sorted(set(b.row_index)):
         ma = b.mul[a]
         lhs = b.add[ma[b.add], a]
         rhs = b.add[np.ix_(ma, ma)]
@@ -234,7 +250,7 @@ def find_brace_axiom_counterexample(b: FiniteBrace) -> tuple[int, int, int] | No
 
 
 def check_brace_axiom(b: FiniteBrace) -> bool:
-    """Exhaustive check of the compatibility axiom over all k^3 triples."""
+    """The compatibility axiom, decided on the generators (see `_verify_construction`)."""
     return find_brace_axiom_counterexample(b) is None
 
 
@@ -289,15 +305,10 @@ def socle(b: FiniteBrace) -> tuple[int, ...]:
 
 def socle_is_ideal(b: FiniteBrace) -> bool:
     """The socle is normal under multiplicative conjugation and lambda-stable."""
-    soc = set(socle(b))
-    for g in range(b.order):
-        ig = int(b.minv[g])
-        for a in soc:
-            if int(b.mul[b.mul[g, a], ig]) not in soc:
-                return False
-            if int(b.lam[g, a]) not in soc:
-                return False
-    return True
+    soc = np.array(socle(b), dtype=np.intp)
+    inside = np.bincount(soc, minlength=b.order) > 0
+    conj = b.mul[b.mul[:, soc], b.minv[:, None]]  # conj[g, a] = g a g^{-1}
+    return bool(inside[conj].all() and inside[b.lam[:, soc]].all())
 
 
 def is_trivial_brace(b: FiniteBrace) -> bool:
@@ -309,13 +320,15 @@ def is_trivial_brace(b: FiniteBrace) -> bool:
     return bool(coincide)
 
 
-def additive_order(b: FiniteBrace, a: int) -> int:
-    order = 1
-    cur = a
-    while cur != 0:
-        cur = int(b.add[cur, a])
-        order += 1
-    return order
+def additive_orders(b: FiniteBrace) -> np.ndarray:
+    """The additive order of every element, as one array."""
+    idx = np.arange(b.order)
+    orders = np.zeros(b.order, dtype=np.int64)
+    multiple, t = idx, 1  # multiple[a] = t a
+    while t <= b.order and not orders.all():
+        orders[(multiple == 0) & (orders == 0)] = t
+        multiple, t = b.add[multiple, idx], t + 1
+    return orders
 
 
 def sylow_decomposition(b: FiniteBrace) -> SylowDecomposition:
@@ -325,53 +338,36 @@ def sylow_decomposition(b: FiniteBrace) -> SylowDecomposition:
     two parts permute, and the parts multiply out to the whole brace.
     """
     k = b.order
-    primes = _prime_factors(k)
+    powers = _prime_powers(k)
+    orders = additive_orders(b)
     parts = []
-    for p in primes:
-        member = tuple(a for a in range(k) if _is_prime_power_of(additive_order(b, a), p))
-        parts.append(member)
-
-    full = k
-    for p, part in zip(primes, parts):
-        expected = 1
-        while full % p == 0:
-            expected *= p
-            full //= p
-        full = k
+    for p, expected in powers.items():
+        # additive orders divide k, so the p-power orders are those dividing expected
+        inside = expected % orders == 0
+        part = np.flatnonzero(inside)
         if len(part) != expected:
             raise ConstructionError(
                 f"Sylow {p}-part has size {len(part)}, expected {expected}"
             )
-        pset = set(part)
-        for a in part:
-            for c in part:
-                if int(b.add[a, c]) not in pset:
-                    raise ConstructionError(f"Sylow {p}-part is not additively closed")
-        for g in range(k):
-            for a in part:
-                if int(b.lam[g, a]) not in pset:
-                    raise ConstructionError(f"Sylow {p}-part is not a left ideal")
+        if not inside[b.add[part[:, None], part]].all():
+            raise ConstructionError(f"Sylow {p}-part is not additively closed")
+        if not inside[b.lam[:, part]].all():
+            raise ConstructionError(f"Sylow {p}-part is not a left ideal")
+        parts.append(part)
 
-    sets = [set(part) for part in parts]
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            ij = {int(b.mul[a, c]) for a in sets[i] for c in sets[j]}
-            ji = {int(b.mul[c, a]) for a in sets[i] for c in sets[j]}
-            if ij != ji:
+            ij = np.bincount(b.mul[parts[i][:, None], parts[j]].ravel(), minlength=k) > 0
+            ji = np.bincount(b.mul[parts[j][:, None], parts[i]].ravel(), minlength=k) > 0
+            if not np.array_equal(ij, ji):
                 raise ConstructionError("Sylow parts do not permute")
-    prod = {0}
+    prod = np.zeros(1, dtype=np.intp)
     for part in parts:
-        prod = {int(b.mul[a, c]) for a in prod for c in part}
-    if prod != set(range(k)):
+        prod = np.flatnonzero(np.bincount(b.mul[prod[:, None], part].ravel(), minlength=k))
+    if len(prod) != k:
         raise ConstructionError("product of Sylow parts is not the whole brace")
 
-    return SylowDecomposition(tuple(primes), tuple(parts))
-
-
-def _is_prime_power_of(x: int, p: int) -> bool:
-    while x % p == 0:
-        x //= p
-    return x == 1
+    return SylowDecomposition(tuple(powers), tuple(tuple(part.tolist()) for part in parts))
 
 
 def decomp_check(b: FiniteBrace, d: SylowDecomposition) -> bool:
@@ -382,25 +378,19 @@ def decomp_check(b: FiniteBrace, d: SylowDecomposition) -> bool:
     """
     if len(d.primes) < 2:
         return True
-    for i in range(len(d.parts)):
-        for j in range(len(d.parts)):
-            if i == j:
-                continue
-            bi, bj = d.parts[i], d.parts[j]
-            factors: dict[int, list[tuple[int, int]]] = {}
-            for a in bj:
-                for c in bi:
-                    factors.setdefault(int(b.mul[a, c]), []).append((a, c))
-            for x in bi:
-                for y in bj:
-                    found = factors.get(int(b.mul[x, y]), [])
-                    if len(found) != 1:
-                        raise ConstructionError(
-                            "cross-part factorization missing or non-unique; "
-                            "contradicts permutability of the Sylow parts"
-                        )
-                    if found[0][0] != int(b.lam[x, y]):
-                        return False
+    for bi, bj in itertools.permutations([np.array(part) for part in d.parts], 2):
+        products = b.mul[bj[:, None], bi].ravel()  # a c for a in B_j, c in B_i
+        count = np.bincount(products, minlength=b.order)
+        factor = np.bincount(products, np.repeat(bj, len(bi)), b.order)  # sum of B_j factors
+        xy = b.mul[bi[:, None], bj].ravel()
+        bad = np.flatnonzero((count[xy] != 1) | (factor[xy] != b.lam[bi[:, None], bj].ravel()))
+        if bad.size and count[xy[bad[0]]] != 1:  # the first failing pair, in x, y order
+            raise ConstructionError(
+                "cross-part factorization missing or non-unique; "
+                "contradicts permutability of the Sylow parts"
+            )
+        if bad.size:
+            return False
     return True
 
 

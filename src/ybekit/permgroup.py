@@ -227,29 +227,31 @@ class PermGroup:
     # -- solvability -------------------------------------------------------------
 
     def derived_subgroup(self) -> "PermGroup":
-        """Subgroup generated by all commutators of element pairs."""
-        if all(
-            compose(g, h) == compose(h, g)
-            for g, h in itertools.combinations_with_replacement(self.generators, 2)
-        ):
-            e = identity(self.degree)
-            return PermGroup(self.degree, (), (e,))
-        comms = {
-            compose(compose(g, h), inverse(compose(h, g)))
-            for g in self.elements
-            for h in self.elements
-        }
-        return PermGroup.closure(sorted(comms), degree=self.degree, cap=self.order + 1)
+        """The normal closure of the commutators of the generators."""
+        gens, e = self.generators, identity(self.degree)
+        pairs = itertools.combinations(gens, 2)
+        new = {compose(compose(g, h), inverse(compose(h, g))) for g, h in pairs} - {e}
+        sub = PermGroup(self.degree, (), (e,))
+        while new:  # conjugate by the generators until stable
+            gens_sub = sorted(new.union(sub.generators))
+            sub = PermGroup.closure(gens_sub, degree=self.degree, cap=self.order + 1)
+            new = {compose(compose(g, c), inverse(g)) for g in gens for c in sub.generators}
+            new -= sub._eset
+        return sub
 
     def derived_series(self) -> list["PermGroup"]:
+        """
+        G, G', G'', ... until the trivial group or a repeated term.
+
+        >>> [g.order for g in PermGroup.closure([(1, 0, 2, 3), (1, 2, 3, 0)]).derived_series()]
+        [24, 12, 4, 1]
+        """
         series = [self]
-        current = self
-        while current.order > 1:
-            nxt = current.derived_subgroup()
-            if nxt.order == current.order:
+        while series[-1].order > 1:
+            nxt = series[-1].derived_subgroup()
+            if nxt.order == series[-1].order:
                 break
             series.append(nxt)
-            current = nxt
         return series
 
     def is_solvable(self) -> bool:

@@ -108,16 +108,24 @@ class SymTables:
         Lexicographically least table over all n! relabelings.
 
         Relabeling by f sends row x to f o sigma_{f^{-1}(x)} o f^{-1}; tables
-        compare row-major.
+        compare row-major. The relabeled rows are built one row at a time,
+        for the relabelings still tied for least only: after each row, every
+        f whose row is not the least one is dropped.
         """
-        m, n = self.m, self.n
-        t = np.array(table, dtype=np.int16)
-        a = t[self.np_inv]  # a[f,i,j] = table[finv[i]][j]
-        b = np.take_along_axis(a, self.np_inv[:, None, :], axis=2)  # ...[finv[j]]
-        c = self.np_perms[np.arange(m)[:, None, None], b]  # value relabel by f
-        flat = c.reshape(m, n * n)
-        best = flat[np.lexsort(flat.T[::-1])[0]]
-        return tuple(tuple(int(v) for v in best[i * n : (i + 1) * n]) for i in range(n))
+        n = self.n
+        t = np.array(table, dtype=np.int32).ravel()
+        f, finv = self.np_perms.astype(np.int32), self.np_inv.astype(np.int32)
+        best = []
+        for x in range(n):
+            # row[i, j] = f_i(table[finv_i(x)][finv_i(j)]), by flat gathers
+            at = t[finv[:, x, None] * n + finv]
+            row = f.ravel()[at + np.arange(0, f.size, n, dtype=np.int32)[:, None]]
+            key = row @ self._radix[::-1].astype(np.int32)  # a lex-order key
+            keep = key == key.min()
+            if not keep.all():
+                f, finv, row = f[keep], finv[keep], row[keep]
+            best.append(tuple(int(v) for v in row[0]))
+        return tuple(best)
 
     # -- conjugation aligners ----------------------------------------------
 

@@ -1,14 +1,30 @@
 """
-The brute-force loop checker, kept as the test reference for `validate`.
+Exhaustive forms of checks that the library decides faster, kept as test
+references; the tests require equal results.
 
-It walks pairs and triples in lex order with plain Python loops and stops
-at the first failure of each axiom, so its witnesses are lex-first by
-construction. `ybekit.solutions.validate` evaluates the same axioms over
-arrays and must agree with it on verdicts and on all three witnesses.
+* `loop_validate`: the brute-force loop checker for `validate`. It walks
+  pairs and triples in lex order with plain Python loops and stops at the
+  first failure of each axiom, so its witnesses are lex-first by
+  construction; `validate` must agree on verdicts and on all three
+  witnesses.
+* `all_pairs_derived_series`: the derived series with each derived
+  subgroup closed from the commutators of all element pairs.
+* `lexsort_min_relabeled`: every relabeled table built in full and sorted.
+* `exhaustive_verify_construction`: the construction checks, in their
+  order and with their messages, with associativity, the compatibility
+  axiom and the action property tested at every element, not on the
+  generators only, and the generating-set test done by a set `closure`.
 """
 from __future__ import annotations
 
+import numpy as np
+
+from ybekit.braces import FiniteBrace, _is_latin, find_additive_identity_counterexample
+from ybekit.errors import ConstructionError
+from ybekit.permgroup import PermGroup
+from ybekit.perms import compose, inverse
 from ybekit.solutions import Solution, ValidationReport, gamma_table
+from ybekit.symtab import SymTables
 
 
 def loop_validate(s: Solution) -> ValidationReport:
@@ -66,3 +82,88 @@ def loop_validate(s: Solution) -> ValidationReport:
         involutive_counterexample=involutive_ce,
         nondegenerate_counterexample=nondegenerate_ce,
     )
+
+
+def all_pairs_derived_series(group: PermGroup) -> list[PermGroup]:
+    series = [group]
+    while series[-1].order > 1:
+        g = series[-1]
+        comms = {compose(compose(a, b), inverse(compose(b, a))) for a in g for b in g}
+        nxt = PermGroup.closure(sorted(comms), degree=g.degree)
+        if nxt.order == g.order:
+            break
+        series.append(nxt)
+    return series
+
+
+def lexsort_min_relabeled(tab: SymTables, table) -> tuple[tuple[int, ...], ...]:
+    m, n = tab.m, tab.n
+    t = np.array(table, dtype=np.int16)
+    a = t[tab.np_inv]  # a[f, i, j] = table[finv[i]][j]
+    b = np.take_along_axis(a, tab.np_inv[:, None, :], axis=2)  # ...[finv[j]]
+    c = tab.np_perms[np.arange(m)[:, None, None], b]  # value relabel by f
+    flat = c.reshape(m, n * n)
+    best = flat[np.lexsort(flat.T[::-1])[0]]
+    return tuple(tuple(int(v) for v in best[i * n : (i + 1) * n]) for i in range(n))
+
+
+def closure(table: np.ndarray, gens) -> set[int]:
+    """The indices that are products of generators under `table`, by a set closure."""
+    reached = set(gens)
+    while True:
+        grown = reached | {int(table[x, y]) for x in reached for y in reached}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+def assoc_counterexample(table: np.ndarray) -> tuple[int, int, int] | None:
+    k = table.shape[0]
+    for a in range(k):
+        ra = table[a]
+        lhs = table[ra]  # lhs[b, c] = table[table[a, b], c]
+        rhs = ra[table]  # rhs[b, c] = table[a, table[b, c]]
+        if not np.array_equal(lhs, rhs):
+            b, c = np.argwhere(lhs != rhs)[0]
+            return (a, int(b), int(c))
+    return None
+
+
+def brace_axiom_counterexample(b: FiniteBrace) -> tuple[int, int, int] | None:
+    for a in range(b.order):
+        ma = b.mul[a]
+        lhs = b.add[ma[b.add], a]
+        rhs = b.add[np.ix_(ma, ma)]
+        if not np.array_equal(lhs, rhs):
+            i, j = np.argwhere(lhs != rhs)[0]
+            return (a, int(i), int(j))
+    return None
+
+
+def exhaustive_verify_construction(b: FiniteBrace) -> None:
+    """The checks of `_verify_construction`, in its order and with its messages."""
+    k = b.order
+    if not np.array_equal(b.add, b.add.T):
+        raise ConstructionError("addition is not commutative")
+    if not _is_latin(b.add) or not _is_latin(b.mul):
+        raise ConstructionError("a table is not a Latin square")
+    gens = sorted(set(b.row_index))
+    for table, op in ((b.add, "addition"), (b.mul, "multiplication")):
+        if len(closure(table, gens)) != k:
+            raise ConstructionError(f"the generators do not reach every element by {op}")
+        if assoc_counterexample(table) is not None:
+            raise ConstructionError(f"{op} is not associative")
+    if not np.array_equal(b.add[0], np.arange(k)) or not np.array_equal(
+        b.mul[0], np.arange(k)
+    ):
+        raise ConstructionError("index 0 is not the shared neutral element")
+    tri = brace_axiom_counterexample(b)
+    if tri is not None:
+        raise ConstructionError(f"compatibility axiom fails at {tri}")
+    if not (np.sort(b.lam, axis=1) == np.arange(k)).all():
+        raise ConstructionError("a lambda map is not bijective")
+    for a in range(k):
+        if not np.array_equal(b.lam[b.mul[a]], b.lam[a][b.lam]):
+            raise ConstructionError("lambda is not a multiplicative action")
+    if find_additive_identity_counterexample(b) is not None:
+        raise ConstructionError("difference identities fail")

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from ybekit.braces import (
     _verify_construction,
     additive_identities_check,
-    additive_order,
+    additive_orders,
     associated_solution,
     brace_from_solution,
     check_brace_axiom,
@@ -21,6 +22,8 @@ from ybekit.braces import (
     socle_is_ideal,
     sylow_decomposition,
 )
+from reference import closure, exhaustive_verify_construction
+from ybekit.enumeration import fast_enumerate
 from ybekit.errors import BudgetExceededError, ConstructionError
 from ybekit.permgroup import PermGroup
 from ybekit.perms import compose
@@ -87,7 +90,7 @@ def test_nontrivial_order6_brace():
 
 def test_additive_orders():
     b = brace_from_solution(Solution.permutation_solution((1, 0, 3, 4, 2)))
-    orders = sorted(additive_order(b, a) for a in range(b.order))
+    orders = sorted(additive_orders(b).tolist())
     assert orders == [1, 2, 3, 3, 6, 6]
 
 
@@ -215,3 +218,151 @@ def test_large_cyclic_brace_tables_and_check_memory():
     finally:
         tracemalloc.stop()
     assert peak < 100 * k * k
+
+
+def _verdict(verify, b):
+    """The ConstructionError message without its witness, or None."""
+    try:
+        verify(b)
+    except ConstructionError as exc:
+        return str(exc).split(" at ")[0]
+    return None
+
+
+def _with_tables(b, add=None, mul=None, lam=None):
+    """`b` with replaced tables; neg, minv and (unless given) lam follow them."""
+    add = b.add if add is None else add
+    mul = b.mul if mul is None else mul
+    neg, minv = (add == 0).argmax(axis=1), (mul == 0).argmax(axis=1)
+    lam = add[mul, neg[:, None]] if lam is None else lam
+    return dataclasses.replace(b, add=add, mul=mul, lam=lam, neg=neg, minv=minv)
+
+
+def _relabel(table, rng, fix_0=True):
+    k = len(table)
+    f = np.array([0] + rng.sample(range(1, k), k - 1) if fix_0 else rng.sample(range(k), k))
+    out = np.empty_like(table)
+    out[np.ix_(f, f)] = f[table]
+    return out
+
+
+def _swap_intercalate(table, rng, symmetric):
+    """
+    Swap u and v in a 2 x 2 subsquare (u v / v u) away from row and column 0:
+    still Latin with neutral 0, in general no longer associative. A symmetric
+    subsquare on rows and columns {r, s} keeps a commutative table commutative.
+    """
+    k = len(table)
+    pairs = [(r, s) for r in range(1, k) for s in range(r + 1, k)]
+    quads = [
+        (r1, r2, c1, c2)
+        for r1, r2 in pairs
+        for c1, c2 in ([(r1, r2)] if symmetric else pairs)
+        if table[r1, c1] == table[r2, c2] and table[r1, c2] == table[r2, c1]
+    ]
+    if not quads:
+        return None
+    r1, r2, c1, c2 = rng.choice(quads)
+    out = table.copy()
+    out[[r1, r1, r2, r2], [c1, c2, c1, c2]] = table[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+    return out
+
+
+def _twist_off_subgroup(b, gens):
+    """
+    lam composed with a fixed non-identity bijection on the rows outside the
+    subgroup H generated by all generators but the last: lam[a c] =
+    lam[a] lam[c] still holds for every a in H, so only the last generator
+    can show that lam is not an action.
+    """
+    sub = closure(b.mul, [0, *gens[:-1]])
+    if len(sub) == b.order:
+        return None
+    lam = b.lam.copy()
+    outside = [x for x in range(b.order) if x not in sub]
+    lam[outside] = lam[outside][:, np.roll(np.arange(b.order), 1)]
+    return lam
+
+
+def test_verify_construction_matches_exhaustive_reference():
+    """
+    Deciding associativity, compatibility and the action property on the
+    generators gives the verdicts of the all-element checks, on a seeded
+    corpus of broken brace tables: intercalate swaps (Latin with neutral
+    element 0, not associative), relabeled tables (groups, not compatible;
+    where 0 is moved off the neutral element, the generators may fall short
+    of reaching every element), and lambda tables that fail to be an action
+    at one generator only.
+    """
+    rng = random.Random(9)
+    sols = [MIXED6, IRRETRACTABLE4] + [
+        Solution(n, rec.sigma)
+        for n in (3, 4, 5)
+        for rec in fast_enumerate(n)
+        if rec.group_order >= 4
+    ]
+    braces = [brace_from_solution(s) for s in rng.sample(sols, 24)]
+    corpus = []
+    for b in braces:
+        gens = sorted(set(b.row_index))
+        corpus.append(b)
+        for _ in range(3):
+            corpus.append(_with_tables(b, add=_relabel(b.add, rng)))
+            corpus.append(_with_tables(b, mul=_relabel(b.mul, rng)))
+            corpus.append(_with_tables(b, mul=_relabel(b.mul, rng, fix_0=False)))
+            for kind, symmetric in (("mul", False), ("add", True)):
+                swapped = _swap_intercalate(getattr(b, kind), rng, symmetric)
+                if swapped is not None:
+                    corpus.append(_with_tables(b, **{kind: swapped}))
+        lam = _twist_off_subgroup(b, gens)
+        if lam is not None:
+            corpus.append(_with_tables(b, lam=lam))
+    seen = set()
+    for b in corpus:
+        verdict = _verdict(_verify_construction, b)
+        assert verdict == _verdict(exhaustive_verify_construction, b)
+        seen.add(verdict)
+    assert {
+        None,
+        "addition is not associative",
+        "multiplication is not associative",
+        "compatibility axiom fails",
+        "lambda is not a multiplicative action",
+    } <= seen
+
+
+def test_verify_construction_rejects_non_generating_rows():
+    # MIXED6 with one involution as its only row: the tables are a brace,
+    # but under multiplication that row reaches only itself and 0, so no
+    # check decided on it would be exact
+    b = brace_from_solution(MIXED6)
+    b = dataclasses.replace(b, row_index=(b.row_index[3],))
+    message = "the generators do not reach every element by multiplication"
+    assert _verdict(_verify_construction, b) == message
+    assert _verdict(exhaustive_verify_construction, b) == message
+
+
+@pytest.mark.parametrize("index", [lambda a, b: 3 * a + b, lambda a, b: 3 * b + a])
+def test_verify_construction_finds_associativity_failing_at_one_generator(index):
+    """
+    The loop on Z3 x Z3 with (a, b)(a', b') = (a + a' + c(b, b'), b + b'),
+    c(1, 1) = 1 and c = 0 elsewhere, next to the group Z3 x Z3 as addition:
+    Latin with neutral element 0, and since c is not a cocycle, (x m) y =
+    x (m y) fails for some x, y exactly at the m = (a, b) with b != 0. Of
+    the generators (0, 1) and (1, 0) only (0, 1) shows it, whether it comes
+    first or last in index order.
+    """
+    pairs = [(u, v) for u in range(3) for v in range(3)]
+    at = {p: index(*p) for p in pairs}
+    add = np.zeros((9, 9), dtype=np.int32)
+    mul = np.zeros((9, 9), dtype=np.int32)
+    for u, v in pairs:
+        for u2, v2 in pairs:
+            add[at[u, v], at[u2, v2]] = at[(u + u2) % 3, (v + v2) % 3]
+            c = int(v == v2 == 1)
+            mul[at[u, v], at[u2, v2]] = at[(u + u2 + c) % 3, (v + v2) % 3]
+    nine = brace_from_solution(Solution.permutation_solution(tuple((x + 1) % 9 for x in range(9))))
+    b = dataclasses.replace(_with_tables(nine, add=add, mul=mul), row_index=(at[0, 1], at[1, 0]))
+    message = "multiplication is not associative"
+    assert _verdict(_verify_construction, b) == message
+    assert _verdict(exhaustive_verify_construction, b) == message

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from reference import lexsort_min_relabeled
 from ybekit.catalog import CatalogRecord
 from ybekit.enumeration import (
     SearchStats,
@@ -18,6 +19,7 @@ from ybekit.enumeration import (
 from ybekit.errors import BudgetExceededError
 from ybekit.permgroup import PermGroup
 from ybekit.solutions import Solution, canonical_form, relabel, validate
+from ybekit.symtab import get_tables
 
 # frozen regression counts, established by the exhaustive oracle (n <= 4)
 # and by verified enumerator runs (n >= 5)
@@ -160,15 +162,12 @@ def _disjoint_union(a, b):
     return tuple(rows)
 
 
-def test_leaf_comparator_matches_min_relabeled():
+def _leaf_comparator_cases():
     """
-    The aligner comparator against the full n! sweep of min_relabeled, on
-    every relabeling of every class with n <= 4, a seeded sample at n = 5,
-    and n = 8 tables with the identity as root row (the trivial solution,
+    Every relabeling of every class with n <= 4, a seeded sample at n = 5,
+    and n = 8 tables with the identity as root row: the trivial solution,
     and seeded relabelings and canonical forms of disjoint unions with at
-    least four identity rows, whose identity anchors have 5040 aligners
-    each), restricted to tables the search can reach as leaves: row 0 is
-    the root and mc[rows[x]][x] >= root for every x.
+    least four identity rows, whose identity anchors have 5040 aligners each.
     """
     rng = random.Random(20)
     cases = []
@@ -191,7 +190,16 @@ def test_leaf_comparator_matches_min_relabeled():
             x = rng.choice(identity_points)
             f[f.index(0)], f[x] = f[x], 0  # relabel an identity row to row 0
             cases.append(relabel(s, tuple(f)).sigma)
+    return cases
 
+
+def test_leaf_comparator_matches_min_relabeled():
+    """
+    The aligner comparator against min_relabeled on `_leaf_comparator_cases`,
+    restricted to tables the search can reach as leaves: row 0 is the root
+    and mc[rows[x]][x] >= root for every x.
+    """
+    cases = _leaf_comparator_cases()
     searches = {n: _Search(n) for n in (1, 2, 3, 4, 5, 8)}
     verdicts = {n: set() for n in searches}
     for table in cases:
@@ -213,6 +221,26 @@ def test_leaf_comparator_matches_min_relabeled():
             got = {tuple(f) for f in F.tolist()}
             assert len(got) == len(F) and got == set(search.tab.aligners(src, root, x0))
             assert (np.take_along_axis(F, Finv, axis=1) == np.arange(n)).all()
+
+
+def test_min_relabeled_matches_lexsort_reference():
+    """
+    The row-by-row min_relabeled against the full sort of all n! relabeled
+    tables: seeded relabelings of every class with n <= 6, and the n = 8
+    tables of `_leaf_comparator_cases`, the trivial table among them (all
+    40320 relabelings tie on every row).
+    """
+    rng = random.Random(21)
+    cases = []
+    for n in range(1, 7):
+        for rec in fast_enumerate(n):
+            s = Solution(n, rec.sigma)
+            cases += [relabel(s, tuple(rng.sample(range(n), n))).sigma for _ in range(2)]
+    n8 = [table for table in _leaf_comparator_cases() if len(table) == 8]
+    assert tuple(tuple(range(8)) for _ in range(8)) in n8
+    for table in cases + n8:
+        tab = get_tables(len(table))
+        assert tab.min_relabeled(table) == lexsort_min_relabeled(tab, table), table
 
 
 def test_root_rows_are_pinned_minimal():

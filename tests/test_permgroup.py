@@ -1,8 +1,13 @@
+import math
+
 import pytest
 
+from reference import all_pairs_derived_series
+from ybekit.enumeration import fast_enumerate
 from ybekit.errors import BudgetExceededError
 from ybekit.permgroup import BlockSystem, PermGroup
-from ybekit.perms import compose, identity, inverse
+from ybekit.perms import compose, from_cycles, identity, inverse
+from ybekit.solutions import Solution, solution_group
 
 
 def sym3():
@@ -106,3 +111,61 @@ def test_solvability():
 def test_derived_series_of_sym3():
     series = sym3().derived_series()
     assert [g.order for g in series] == [6, 3, 1]
+
+
+def _analyze_large_groups():
+    """
+    The groups of the analyze benchmark's large inputs: constant-row
+    solutions (cyclic groups of order lcm of the cycle lengths) and direct
+    products of the groups of two catalog classes, each picked as
+    (n, group order, index among the classes with that n and order).
+    """
+    groups = []
+    for lengths in ((3, 4, 5), (7, 9), (3, 4, 7), (3, 5, 7), (4, 5, 7)):
+        starts = [sum(lengths[:i]) for i in range(len(lengths))]
+        pi = from_cycles(sum(lengths), *(range(a, a + ln) for a, ln in zip(starts, lengths)))
+        groups.append(PermGroup.closure([pi]))
+        assert groups[-1].order == math.lcm(*lengths)
+
+    def pick(n, order, index):
+        return [r for r in fast_enumerate(n) if r.group_order == order][index].sigma
+
+    for a, b in (
+        ((4, 8, 0), (4, 8, 0)),
+        ((4, 8, 0), (4, 8, 1)),
+        ((5, 8, 0), (4, 8, 0)),
+        ((6, 8, 0), (6, 8, 0)),
+        ((6, 24, 0), (3, 3, 0)),
+        ((6, 9, 0), (6, 8, 0)),
+        ((6, 24, 0), (4, 4, 0)),
+        ((6, 16, 0), (4, 8, 0)),
+    ):
+        sa, sb = pick(*a), pick(*b)
+        na, nb = len(sa), len(sb)
+        rows = [row + tuple(range(na, na + nb)) for row in sa]
+        rows += [tuple(range(na)) + tuple(na + v for v in row) for row in sb]
+        groups.append(solution_group(Solution(na + nb, tuple(rows))))
+        assert groups[-1].order == a[1] * b[1]
+    return groups
+
+
+def test_derived_series_matches_all_pairs_reference(records_up_to_6):
+    """
+    The normal closure of the generator commutators against the subgroup
+    closed from all element-pair commutators, on the group of every class
+    with n <= 6, on Sym(4), Sym(5) and Alt(5), and on the analyze-large groups.
+    """
+    groups = [
+        solution_group(Solution(n, rec.sigma))
+        for n, recs in records_up_to_6.items()
+        for rec in recs
+    ]
+    groups += [
+        PermGroup.closure([(1, 0, 2, 3), (1, 2, 3, 0)]),
+        PermGroup.closure([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+        PermGroup.closure([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
+    ]
+    groups += _analyze_large_groups()
+    for g in groups:
+        got, want = g.derived_series(), all_pairs_derived_series(g)
+        assert [h.elements for h in got] == [h.elements for h in want]

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import ybekit
-from ybekit import perms
+from ybekit import permgroup, perms
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -13,6 +13,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def test_perms_doctests_pass():
     result = doctest.testmod(perms)
     assert result.failed == 0 and result.attempted >= 9
+
+
+def test_permgroup_doctests_pass():
+    result = doctest.testmod(permgroup)
+    assert result.failed == 0 and result.attempted >= 1
 
 
 def test_pyproject_version_matches_package():
