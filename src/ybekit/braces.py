@@ -396,8 +396,7 @@ def decomp_check(b: FiniteBrace, d: SylowDecomposition) -> bool:
 
 def associated_solution(b: FiniteBrace) -> Solution:
     """The solution on the brace elements with sigma_a = lambda_a."""
-    rows = tuple(tuple(int(v) for v in b.lam[a]) for a in range(b.order))
-    return Solution(b.order, rows)
+    return Solution(b.order, tuple(map(tuple, b.lam.tolist())))
 
 
 def lambda_matches_action(b: FiniteBrace, s: Solution) -> bool:

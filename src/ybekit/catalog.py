@@ -96,8 +96,8 @@ def write_catalog(
 def read_catalog(path: str) -> tuple[dict, list[CatalogRecord]]:
     """Read a JSON-lines catalog back as (header, records).
 
-    A malformed line, or a record whose n is not the header's, raises
-    InvalidSolutionError naming its line number.
+    A malformed line, a header whose n is not a JSON int, or a record whose
+    n is not the header's, raises InvalidSolutionError naming its line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -110,6 +110,8 @@ def read_catalog(path: str) -> tuple[dict, list[CatalogRecord]]:
             if header is None:
                 if not isinstance(obj, dict) or not obj.get("header"):
                     raise InvalidSolutionError("catalog file does not start with a header line")
+                if type(obj.get("n")) is not int:
+                    raise InvalidSolutionError(f'header "n" must be a JSON int, not {obj.get("n")!r}')
                 header = obj
             else:
                 records.append(CatalogRecord.from_json(obj))

@@ -125,22 +125,7 @@ class _Search:
         self.tab = symtab.get_tables(n)
         self.tab.ensure_comp()
         self.n = n
-        m = self.tab.m
-        self.perms = self.tab.perms
-        self.iperms = self.tab.iperms
-        self.invi = self.tab.invi
-        self.mc = self.tab.mc
-        self.mc_np = self.tab.mc_np
-        self.np_perms = self.tab.np_perms
-        self.np_inv = self.tab.np_inv
-        comp = self.tab.comp_flat
-        self.comp_np = (
-            np.frombuffer(comp, dtype=np.int16).reshape(m, m)
-            if comp is not None
-            else None
-        )
-        self.invi_np = np.frombuffer(self.invi, dtype=np.int32)
-        self.arange_m = np.arange(m, dtype=np.int32)
+        self.arange_m = np.arange(self.tab.m, dtype=np.int32)
         self._aligner_array_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.deadline = deadline
         self.stats = SearchStats()
@@ -161,10 +146,9 @@ class _Search:
         a partial gamma collision, a forced row clashing with a known one, or a
         minimal-conjugate bound violation. Mutates rows and gmask in place.
         """
-        n = self.n
-        perms, iperms, invi = self.perms, self.iperms, self.invi
-        mc, root = self.mc, self.root
-        compose = self.tab.compose_idx
+        n, tab = self.n, self.tab
+        perms, iperms, invi, mc = tab.perms, tab.iperms, tab.invi, tab.mc
+        root, compose = self.root, tab.compose_idx
         stack = [(r0, c0)]
         while stack:
             r, c = stack.pop()
@@ -242,7 +226,7 @@ class _Search:
             return False
         F, Finv, k = F[keep], Finv[keep], int(keep.sum())
         R = np.array(rows[:d], dtype=np.intp)
-        P = self.np_perms
+        P = self.tab.np_perms
         rel = F[np.arange(k)[:, None, None], P[R[Finv[:, 1:d]][:, :, None], Finv[:, None, :]]]
         rel = rel.reshape(k, -1)
         cur = P[R[1:d]].reshape(-1)
@@ -256,7 +240,7 @@ class _Search:
         is exact lex-minimality of the table in its relabeling orbit; below, a
         prefix that fails it has no canonical completion.
         """
-        mc, root = self.mc, self.root
+        mc, root = self.tab.mc, self.root
         return not any(
             self._lex_beaten(rows, x, d) for x in range(d) if mc[rows[x]][x] == root
         )
@@ -268,7 +252,7 @@ class _Search:
         if not self._canonical(rows, self.n):
             self.stats.noncanonical_leaves += 1
             return
-        table = tuple(self.perms[i] for i in rows)
+        table = tuple(self.tab.perms[i] for i in rows)
         if not validate(Solution(self.n, table)).passed:
             self.stats.invalid_leaves += 1
             return
@@ -282,34 +266,12 @@ class _Search:
         candidate would also be rejected by the exact cascade, so this only
         trims the loop, never the result set.
         """
-        n = self.n
-        mc_np, root, ar = self.mc_np, self.root, self.arange_m
-        P, IV, C = self.np_perms, self.np_inv, self.comp_np
-        invi_np = self.invi_np
+        n, tab, root, ar = self.n, self.tab, self.root, self.arange_m
+        P, IV, C, invi_np, mc_np = tab.np_perms, tab.np_inv, tab.comp_np, tab.invi_np, tab.mc_np
         ok = mc_np[:, k] >= root
         rows_arr = np.fromiter(
             (r if r is not None else -1 for r in rows), dtype=np.int32, count=n
         )
-
-        # fresh gamma entries in column y coming from row k itself
-        for y in range(n):
-            ucol = P[:, y].astype(np.int32)
-            ru = np.where(ucol == k, ar, rows_arr[ucol])
-            known = ru >= 0
-            if known.any():
-                g = IV[ru, k]
-                ok &= ~(known & (((gmask[y] >> g) & 1) == 1))
-        # fresh gamma entries contributed by each already-known row x
-        for x in range(n):
-            rx = rows[x]
-            if rx is None or x == k:
-                continue
-            y2 = self.iperms[rx][k]
-            g = IV[:, x]
-            ok &= ((gmask[y2] >> g) & 1) == 0
-
-        if C is None:
-            return ok
 
         def forced_ok(v, rv):
             # forced row v (one per candidate, or one for all) may take value rv
@@ -317,27 +279,34 @@ class _Search:
             unknown_ok = mc_np[rv, v] >= root
             return np.where(va == -2, rv == ar, np.where(va >= 0, va == rv, unknown_ok))
 
-        # braid half; a row given as ar is the candidate itself
+        # per triple, the gamma entry v first, then the row forced at v once
+        # row y is known; a row given as ar is the candidate itself
         for y in range(n):  # k is x
-            ry = ar if y == k else rows[y]
-            if ry is None:
-                continue
-            ucol = P[:, y].astype(np.int32)
+            ucol = P[:, y]
             ru = np.where(ucol == k, ar, rows_arr[ucol])
             known = ru >= 0
-            if known.any():
-                ok &= ~known | forced_ok(IV[ru, k], C[invi_np[ru], C[ar, ry]])
+            if not known.any():
+                continue
+            v = IV[ru, k]
+            ok &= ~known | (((gmask[y] >> v) & 1) == 0)
+            ry = ar if y == k else rows[y]
+            if C is not None and ry is not None:
+                ok &= ~known | forced_ok(v, C[invi_np[ru], C[ar, ry]])
         for x in range(n):
             rx = rows[x]
             if rx is None or x == k:
                 continue
-            y = self.iperms[rx][k]  # k is u
+            y = tab.iperms[rx][k]  # k is u
+            v = IV[:, x]
+            ok &= ((gmask[y] >> v) & 1) == 0
+            if C is None:
+                continue
             ry = ar if y == k else rows[y]
             if ry is not None:
-                ok &= forced_ok(IV[:, x], C[invi_np, C[rx, ry]])
-            u = self.perms[rx][k]  # k is y; u == k was taken as y == k above
+                ok &= forced_ok(v, C[invi_np, C[rx, ry]])
+            u = tab.perms[rx][k]  # k is y; its gamma entry is known without row k
             ru = rows[u]
-            if ru is not None and u != k:
+            if ru is not None and u != k:  # u == k was taken as y == k above
                 ok &= forced_ok(IV[ru, x], C[invi_np[ru], C[rx]])
         return ok
 
@@ -382,8 +351,8 @@ def _search_worker(args) -> tuple[list[tuple[Perm, ...]], dict]:
 
 def canonical_root_rows(n: int) -> list[int]:
     """Perm indices that are lex-least conjugates pinning their anchor to 0."""
-    tab = symtab.get_tables(n)
-    return [c for c in range(tab.m) if tab.mc[c][0] == c]
+    mc0 = symtab.get_tables(n).mc_np[:, 0]
+    return np.flatnonzero(mc0 == np.arange(len(mc0))).tolist()
 
 
 def enumerate_canonical_tables(

@@ -80,11 +80,13 @@ class Solution:
     def from_json(cls, data: Any) -> "Solution":
         if not isinstance(data, dict) or "n" not in data or "sigma" not in data:
             raise InvalidSolutionError('expected an object {"n": ..., "sigma": [...]}')
+        try:
+            n = _entry(data["n"])
+        except TypeError:
+            raise InvalidSolutionError(f'"n" must be a JSON int, not {data["n"]!r}') from None
         s = cls.from_rows(data["sigma"])
-        if s.n != data["n"]:
-            raise InvalidSolutionError(
-                f'"n" is {data["n"]} but the sigma table has {s.n} rows'
-            )
+        if s.n != n:
+            raise InvalidSolutionError(f'"n" is {n} but the sigma table has {s.n} rows')
         return s
 
     def to_json(self) -> dict:

@@ -3,7 +3,11 @@ Cached per-degree tables over the full symmetric group Sym(n), n <= 8.
 
 These back the relabeling machinery: canonical forms of sigma tables, the
 minimal-conjugate bound used for symmetry breaking during enumeration, and
-index-based composition for the search core. Tables are built once per
+index-based composition for the search core. `SymTables` is the only place
+a Sym(n) lookup is built, each with array operations over the lex-ordered
+permutations: inverse indices, the minimal-conjugate table from cycle
+lengths, and (degrees <= 7) the composition table, one buffer that the
+search reads through its (m, m) view `comp_np`. Tables are built once per
 degree and shared (they are read-only after construction, so forked worker
 processes inherit them copy-on-write).
 """
@@ -16,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError
-from .perms import Perm, cycles
+from .perms import Perm
 
 MAX_DEGREE = 8
 
@@ -32,7 +36,17 @@ def conjugate(f: Perm, p: Perm) -> Perm:
 
 
 class SymTables:
-    """Lex-ordered list of all degree-n permutations plus derived lookup tables."""
+    """
+    Lex-ordered list of all degree-n permutations plus derived lookup tables.
+
+    >>> tab = SymTables(3)
+    >>> tab.perms[4], tab.mc[4]  # a 3-cycle: every anchor gives the least 3-cycle
+    ((2, 0, 1), [3, 3, 3])
+    >>> tab.perms[1], tab.mc[1]  # 0 is fixed; 1 and 2 lie on a 2-cycle
+    ((0, 2, 1), [1, 2, 2])
+    >>> list(tab.invi)  # the two 3-cycles are each other's inverse
+    [0, 1, 2, 4, 3, 5]
+    """
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_DEGREE:
@@ -46,30 +60,36 @@ class SymTables:
         self.pidx: dict[Perm, int] = {p: i for i, p in enumerate(perms)}
         self.np_perms = np.array(perms, dtype=np.int16)
 
-        self.np_inv = np.argsort(self.np_perms, axis=1).astype(np.int16)
+        P = self.np_perms
+        self.np_inv = np.argsort(P, axis=1).astype(np.int16)
         self.iperms: list[Perm] = list(map(tuple, self.np_inv.tolist()))
-        self.invi = array("i", (self.pidx[q] for q in self.iperms))
+        # invi[c]: index of perms[c]^-1, the lex rank of row c of np_inv
+        rank = np.empty(self.m, dtype=np.int32)
+        rank[np.lexsort(self.np_inv.T[::-1])] = np.arange(self.m, dtype=np.int32)
+        self.invi = array("i", rank.tobytes())
+        self.invi_np = np.frombuffer(self.invi, dtype=np.int32)
 
         # mc[c][a]: index of the lex-least conjugate of perms[c] under
         # relabelings sending point a to 0. Equals the lex-least perm with
         # the same cycle type whose 0-cycle has the length of a's cycle.
-        types_lens: list[tuple[tuple[int, ...], list[int]]] = []
-        lexmin_by_type_anchor: dict[tuple[tuple[int, ...], int], int] = {}
-        for i, p in enumerate(perms):
-            cyc = cycles(p)
-            t = tuple(sorted((len(c) for c in cyc), reverse=True))
-            lens = [0] * n  # per point, the length of its cycle
-            for c in cyc:
-                for x in c:
-                    lens[x] = len(c)
-            types_lens.append((t, lens))
-            lexmin_by_type_anchor.setdefault((t, lens[0]), i)  # first in lex order
-        self.mc: list[list[int]] = [
-            [lexmin_by_type_anchor[(t, lens[a])] for a in range(n)] for t, lens in types_lens
-        ]
-        self.mc_np = np.array(self.mc, dtype=np.int32)
+        # lens[c, x] is the length of x's cycle; its sorted row is the type.
+        pts = np.broadcast_to(np.arange(n, dtype=np.int16), P.shape)
+        img, lens = pts, np.zeros((self.m, n), dtype=np.int64)
+        for k in range(1, n + 1):
+            img = np.take_along_axis(P, img, axis=1)
+            lens[(img == pts) & (lens == 0)] = k
+        typ = np.sort(lens, axis=1) @ (n + 1) ** np.arange(n, dtype=np.int64)
+        key = typ[:, None] * (n + 1) + lens  # (type, length of the anchor's cycle)
+        keys, first = np.unique(key[:, 0], return_index=True)  # lex-first index per key
+        at = np.searchsorted(keys, key)
+        self.mc_np = first.astype(np.int32)[at]
+        # one shared int object per distinct value, for the scalar reads of the search
+        self.mc: list[list[int]] = np.array(first.tolist(), dtype=object)[at].tolist()
 
-        self._comp: array | None = None  # flat m*m composition index table
+        # perms[i] o perms[j] at index i * m + j (degrees <= 7, on demand);
+        # comp_np is an (m, m) view of the same buffer
+        self._comp: array | None = None
+        self.comp_np: np.ndarray | None = None
         self._radix = np.array([n**k for k in range(n)], dtype=np.int64)
 
     # -- composition on indices ------------------------------------------
@@ -82,13 +102,12 @@ class SymTables:
         keys = self.np_perms.astype(np.int64) @ self._radix
         key2idx = np.full(n**n, -1, dtype=np.int32)
         key2idx[keys] = np.arange(m, dtype=np.int32)
-        comp16 = np.empty((m, m), dtype=np.int16)
+        comp = array("h", [0]) * (m * m)
+        view = np.frombuffer(comp, dtype=np.int16).reshape(m, m)
         for i in range(m):
             composed = self.np_perms[i][self.np_perms]  # (m, n): perms[i] o perms[j]
-            comp16[i] = key2idx[composed.astype(np.int64) @ self._radix]
-        flat = array("h")
-        flat.frombytes(comp16.tobytes())
-        self._comp = flat
+            view[i] = key2idx[composed.astype(np.int64) @ self._radix]
+        self._comp, self.comp_np = comp, view
 
     def compose_idx(self, i: int, j: int) -> int:
         """Index of perms[i] o perms[j] (q applied first is perms[j])."""
@@ -96,10 +115,6 @@ class SymTables:
             return self._comp[i * self.m + j]
         p, q = self.perms[i], self.perms[j]
         return self.pidx[tuple(p[x] for x in q)]
-
-    @property
-    def comp_flat(self) -> array | None:
-        return self._comp
 
     # -- canonical relabeling ---------------------------------------------
 

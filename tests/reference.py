@@ -10,6 +10,8 @@ references; the tests require equal results.
 * `all_pairs_derived_series`: the derived series with each derived
   subgroup closed from the commutators of all element pairs.
 * `lexsort_min_relabeled`: every relabeled table built in full and sorted.
+* `loop_mc`: the minimal-conjugate table from the cycles of every
+  permutation, one at a time.
 * `exhaustive_verify_construction`: the construction checks, in their
   order and with their messages, with associativity, the compatibility
   axiom and the action property tested at every element, not on the
@@ -22,7 +24,7 @@ import numpy as np
 from ybekit.braces import FiniteBrace, _is_latin, find_additive_identity_counterexample
 from ybekit.errors import ConstructionError
 from ybekit.permgroup import PermGroup
-from ybekit.perms import compose, inverse
+from ybekit.perms import compose, cycles, inverse
 from ybekit.solutions import Solution, ValidationReport, gamma_table
 from ybekit.symtab import SymTables
 
@@ -105,6 +107,25 @@ def lexsort_min_relabeled(tab: SymTables, table) -> tuple[tuple[int, ...], ...]:
     flat = c.reshape(m, n * n)
     best = flat[np.lexsort(flat.T[::-1])[0]]
     return tuple(tuple(int(v) for v in best[i * n : (i + 1) * n]) for i in range(n))
+
+
+def loop_mc(tab: SymTables) -> list[list[int]]:
+    """
+    mc[c][a]: the lex-first index with the cycle type of perms[c] whose
+    0-cycle has the length of a's cycle, keyed from `cycles` one perm at a time.
+    """
+    types_lens = []
+    lexmin_by_type_anchor: dict[tuple[tuple[int, ...], int], int] = {}
+    for i, p in enumerate(tab.perms):
+        cyc = cycles(p)
+        t = tuple(sorted((len(c) for c in cyc), reverse=True))
+        lens = [0] * tab.n  # per point, the length of its cycle
+        for c in cyc:
+            for x in c:
+                lens[x] = len(c)
+        types_lens.append((t, lens))
+        lexmin_by_type_anchor.setdefault((t, lens[0]), i)  # first in lex order
+    return [[lexmin_by_type_anchor[(t, ln)] for ln in lens] for t, lens in types_lens]
 
 
 def closure(table: np.ndarray, gens) -> set[int]:

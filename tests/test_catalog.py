@@ -30,6 +30,17 @@ def test_header_required(tmp_path):
         read_catalog(str(path))
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1", None])
+def test_header_n_must_be_an_int(tmp_path, n):
+    path = tmp_path / "n1.jsonl"
+    write_catalog(str(path), 1, fast_enumerate(1))
+    header, record = path.read_text().splitlines()
+    header = json.dumps({**json.loads(header), "n": n})
+    path.write_text(header + "\n" + record + "\n")
+    with pytest.raises(InvalidSolutionError, match='catalog line 1: header "n" must be a JSON int'):
+        read_catalog(str(path))
+
+
 def test_record_json_round_trip():
     rec = fast_enumerate(2)[0]
     assert CatalogRecord.from_json(rec.to_json()) == rec
@@ -60,11 +71,12 @@ def test_malformed_record():
         json.dumps({"n": 3, "sigma": [[0, 1, 2], [0, 1, 2], [0, 1, 2]], "valid": True}),
         json.dumps({"n": 2, "sigma": [[0, 1], [0, 1]], "valid": True, "bogus": 5}),
         json.dumps({"n": 2, "sigma": [[1, 0], [0, 1]], "valid": True}),
+        json.dumps({"n": 2.0, "sigma": [[0, 1], [0, 1]], "valid": True}),
     ],
     ids=[
         "malformed-json", "float-entry", "non-bool-valid", "non-bool-flag", "non-int-mpl",
         "bool-group-order", "primitive-not-indecomposable", "n-differs-from-header",
-        "unknown-key", "valid-but-fails-validate",
+        "unknown-key", "valid-but-fails-validate", "float-n",
     ],
 )
 def test_bad_record_line_rejected(tmp_path, line):

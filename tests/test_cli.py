@@ -70,6 +70,14 @@ def test_validate_non_integer_entries(capsys):
     assert "malformed sigma table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "n, sigma", [("true", "[[0]]"), ("2.0", "[[0, 1], [0, 1]]"), ('"2"', "[[0, 1], [0, 1]]")]
+)
+def test_validate_non_integer_n(capsys, n, sigma):
+    assert main(["validate", f'{{"n": {n}, "sigma": {sigma}}}']) == 1
+    assert f'"n" must be a JSON int, not {json.loads(n)!r}' in capsys.readouterr().err
+
+
 def test_validate_inline_json(capsys):
     assert main(["validate", '{"n": 1, "sigma": [[0]]}']) == 0
     capsys.readouterr()

@@ -115,9 +115,9 @@ def test_stats_reported_on_cache_hit():
 
 def test_n8_search_on_a_3_cycle_root():
     # the only tier-1 run of the n = 8 path: composition through the dict,
-    # no composition table, so the candidate mask stops before the braid checks
+    # no composition table, so the candidate mask skips the forced-row checks
     search = _Search(8)
-    assert search.comp_np is None
+    assert search.tab.comp_np is None
     root = search.tab.pidx[(1, 2, 0, 3, 4, 5, 6, 7)]
     assert root == 5760
     tables = search.run([root])

@@ -54,6 +54,13 @@ def test_non_integer_entries_rejected(rows):
         Solution.from_rows(rows)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_non_integer_n_rejected(n):
+    # "n" follows the rule of the entries: 1 == True == 1.0 must not pass it
+    with pytest.raises(InvalidSolutionError, match=f'"n" must be a JSON int, not {n!r}'):
+        Solution.from_json({"n": n, "sigma": [[0]]})
+
+
 def test_numpy_integer_entries_accepted():
     rows = np.array([[1, 0], [1, 0]], dtype=np.int16)
     assert Solution.from_rows(rows).sigma == ((1, 0), (1, 0))

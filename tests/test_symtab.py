@@ -2,10 +2,12 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from reference import loop_mc
 from ybekit.errors import BudgetExceededError
-from ybekit.perms import cycles
+from ybekit.perms import compose, cycles, inverse
 from ybekit.symtab import SymTables, conjugate, get_tables
 
 
@@ -31,6 +33,53 @@ def test_compose_idx_matches_tuples():
         for j in (1, 8, 22):
             composed = tuple(tab.perms[i][x] for x in tab.perms[j])
             assert tab.perms[tab.compose_idx(i, j)] == composed
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mc_matches_cycle_loop_reference(n):
+    tab = get_tables(n)
+    expected = loop_mc(tab)
+    assert tab.mc == expected
+    assert tab.mc_np.dtype == np.int32 and tab.mc_np.tolist() == expected
+
+
+def test_mc_shares_one_int_object_per_value_at_n8():
+    # a separate int per entry would cost about 10 MB at n = 8
+    entries = [v for row in get_tables(8).mc for v in row]
+    assert len({id(v) for v in entries}) == len(set(entries))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inverse_indices(n):
+    tab = get_tables(n)
+    assert tab.invi_np.tolist() == list(tab.invi)
+    assert np.shares_memory(tab.invi_np, tab.invi)
+    for c, p in enumerate(tab.perms):
+        assert tab.perms[tab.invi[c]] == inverse(p) == tab.iperms[c]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_comp_np_matches_compose(n):
+    tab = get_tables(n)
+    tab.ensure_comp()
+    assert tab.comp_np.shape == (tab.m, tab.m) and tab.comp_np.dtype == np.int16
+    assert np.shares_memory(tab.comp_np, tab._comp)
+    if n <= 5:
+        pairs = itertools.product(range(tab.m), repeat=2)
+    else:
+        rng = np.random.default_rng(n)
+        pairs = rng.integers(0, tab.m, size=(2000, 2)).tolist()
+    for i, j in pairs:
+        assert tab.perms[tab.comp_np[i, j]] == compose(tab.perms[i], tab.perms[j])
+        assert tab.compose_idx(i, j) == tab.comp_np[i, j]
+
+
+def test_no_comp_table_at_n8():
+    tab = get_tables(8)
+    tab.ensure_comp()
+    assert tab.comp_np is None
+    i, j = 5760, 40319
+    assert tab.perms[tab.compose_idx(i, j)] == compose(tab.perms[i], tab.perms[j])
 
 
 def test_mc_is_min_conjugate():

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import ybekit
-from ybekit import permgroup, perms
+from ybekit import permgroup, perms, symtab
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -18,6 +18,11 @@ def test_perms_doctests_pass():
 def test_permgroup_doctests_pass():
     result = doctest.testmod(permgroup)
     assert result.failed == 0 and result.attempted >= 1
+
+
+def test_symtab_doctests_pass():
+    result = doctest.testmod(symtab)
+    assert result.failed == 0 and result.attempted >= 4
 
 
 def test_pyproject_version_matches_package():
