@@ -9,7 +9,7 @@ Only the sigma table is ever stored; gamma is always derived.
 `validate` decides the three defining axioms (involutivity, non-degeneracy
 of the derived gamma maps, and the braid relation on every triple) by
 evaluating both sides literally over numpy arrays, the triples in slabs of
-at most max(2^18, n^2), and gives a lex-first witness for each failed
+at most max(2^16, n^2), and gives a lex-first witness for each failed
 axiom. Everything downstream -- retraction, multipermutation level,
 indecomposability, canonical forms -- assumes a validated solution.
 """
@@ -155,8 +155,8 @@ class ValidationReport:
         return out
 
 
-# Braid triples per slab of x; a slab holds at least one x, so n^2 if n > 512.
-_SLAB_TRIPLES = 1 << 18
+# Braid triples per slab of x; a slab holds at least one x, so n^2 if n > 256.
+_SLAB_TRIPLES = 1 << 16
 
 
 def validate(s: Solution) -> ValidationReport:
@@ -164,30 +164,37 @@ def validate(s: Solution) -> ValidationReport:
     Decide the axioms by literal evaluation over arrays.
 
     With S[x, y] = sigma_x(y) and R2[x, y] = gamma_y(x), r(x, y) is
-    (S[x, y], R2[x, y]); a pair (p, q) is the flat index p * n + q.
-    involutive: r(r(x, y)) == (x, y), on all pairs at once.
+    (S[x, y], R2[x, y]); a pair (p, q) is the flat index p * n + q, and
+    SR = S * n + R2 is r as a map on pair indices.
+    involutive: SR[SR] is the identity on pairs. With gamma derived from
+    sigma this holds for every table of rows: if u = sigma_x(y) and
+    v = sigma_u^{-1}(x), then r(u, v) = (sigma_u(v), sigma_x^{-1}(u)) =
+    (x, y). The check stays literal, and its witness is always None.
     nondegenerate: every column gamma_y of R2 is a bijection.
     braid: r12 r23 r12 (x, y, z) = (e, f, d), where (a, b) = r(x, y),
     (c, d) = r(b, z), (e, f) = r(a, c), equals r23 r12 r23 (x, y, z) =
     (i, k, m), where (g, h) = r(y, z), (i, j) = r(x, g), (k, m) = r(j, h).
-    It is evaluated on slabs of consecutive x of at most max(2^18, n^2)
+    Row b of S and R2 holds c and d for every z; (e, f) is compared with
+    (i, k) as the packed pairs SR[(a, c)] and i * n + k.
+    It is evaluated on slabs of consecutive x of at most max(2^16, n^2)
     triples, in order, so the first failing slab holds the lex-first
     failing triple. Each failed axiom reports its lex-first witness.
     """
     n = s.n
-    pts = np.arange(n, dtype=np.int32)
-    S = np.array(s.sigma, dtype=np.int32)
+    pts = np.arange(n)
+    S = np.array(s.sigma, dtype=np.intp)
     inv = np.empty_like(S)
     inv[pts[:, None], S] = pts
     R2 = inv[S, pts[:, None]]
     Sf, Rf = S.ravel(), R2.ravel()
+    SR = S * n + R2
+    SRf = SR.ravel()
 
     def first(bad: np.ndarray) -> tuple[int, ...] | None:  # lex-first True index
         i = int(bad.argmax())
         return tuple(int(v) for v in np.unravel_index(i, bad.shape)) if bad.flat[i] else None
 
-    uv = S * n + R2
-    inv_ce = first((Sf[uv] != pts[:, None]) | (Rf[uv] != pts))
+    inv_ce = first(SRf[SR] != pts[:, None] * n + pts)
 
     cols = np.sort(R2, axis=0)
     y = first((cols[1:] == cols[:-1]).any(axis=0))
@@ -200,13 +207,12 @@ def validate(s: Solution) -> ValidationReport:
     braid_ce = None
     step = max(1, _SLAB_TRIPLES // (n * n))
     for x0 in range(0, n, step):
-        xs = pts[x0 : x0 + step, None, None] * n
-        ab = xs[:, :, 0] + pts  # pair (x, y)
-        bz = (Rf[ab] * n)[:, :, None] + pts  # pair (b, z), b = gamma_y(x)
-        ac = (Sf[ab] * n)[:, :, None] + Sf[bz]  # pair (a, c)
-        xg = xs + S  # pair (x, g), g = sigma_y(z)
+        X = slice(x0, x0 + step)
+        B = R2[X]  # b = gamma_y(x), rows (x, y)
+        ac = (S[X] * n)[:, :, None] + S[B]  # pair (a, c)
+        xg = pts[X, None, None] * n + S  # pair (x, g), g = sigma_y(z)
         jh = Rf[xg] * n + R2  # pair (j, h)
-        bad = (Sf[ac] != Sf[xg]) | (Rf[ac] != Sf[jh]) | (Rf[bz] != Rf[jh])
+        bad = (SRf[ac] != Sf[xg] * n + Sf[jh]) | (R2[B] != Rf[jh])
         braid_ce = first(bad)
         if braid_ce is not None:
             braid_ce = (x0 + braid_ce[0],) + braid_ce[1:]

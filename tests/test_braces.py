@@ -220,6 +220,25 @@ def test_large_cyclic_brace_tables_and_check_memory():
     assert peak < 100 * k * k
 
 
+def test_validate_memory_on_the_order_140_associated_solution():
+    # constant rows of cycle type (4, 5, 7): a cyclic group of order 140, whose
+    # 140-point associated solution is the largest validate of analyze-large
+    pi = [0] * 16
+    for start, length in ((0, 4), (4, 5), (9, 7)):
+        for i in range(length):
+            pi[start + i] = start + (i + 1) % length
+    s = associated_solution(brace_from_solution(Solution.permutation_solution(tuple(pi))))
+    assert s.n == 140
+    # one slab's intp temporary is at most 8 max(2^16, n^2) bytes; about 7 are live
+    tracemalloc.start()
+    try:
+        assert validate(s).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * max(1 << 16, s.n**2)
+
+
 def _verdict(verify, b):
     """The ConstructionError message without its witness, or None."""
     try:

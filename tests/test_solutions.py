@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference import loop_validate
+from ybekit import solutions
 from ybekit.errors import InvalidSolutionError
 from ybekit.solutions import (
     _SLAB_TRIPLES,
@@ -177,6 +178,38 @@ def test_validate_matches_loop_reference_across_slabs(fixed):
     assert not report.braid
     if fixed:  # the first failure lies past the first slab
         assert report.braid_counterexample[0] >= fixed >= slab
+
+
+@pytest.mark.parametrize(
+    "slab",
+    [
+        lambda n: 1,  # one x per slab
+        lambda n: n * n - 1,  # below one x's n^2 triples: still one x per slab
+        lambda n: 2 * n * n + 1,  # two x per slab, the last slab short at odd n
+        lambda n: 1 << 16,  # the default: one slab for n <= 5
+    ],
+    ids=["1", "n^2-1", "2n^2+1", "2^16"],
+)
+def test_validate_matches_loop_reference_at_slab_bounds(records_up_to_5, monkeypatch, slab):
+    for n, records in records_up_to_5.items():
+        monkeypatch.setattr(solutions, "_SLAB_TRIPLES", slab(n))
+        for rec in records:
+            for sigma in _row_swaps(rec.sigma):
+                s = Solution(n, sigma)
+                assert validate(s) == loop_validate(s), sigma
+
+
+def test_validate_involutive_for_every_table_of_rows():
+    # gamma is derived from sigma, so r(r(x, y)) = (x, y) for any rows at all
+    rng = random.Random(5)
+    failing = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        rows = tuple(tuple(rng.sample(range(n), n)) for _ in range(n))
+        report = validate(Solution(n, rows))
+        assert report.involutive and report.involutive_counterexample is None, rows
+        failing += not report.passed
+    assert failing > 200  # the corpus is mostly not solutions
 
 
 def test_validate_involutivity_restatement():
