@@ -181,7 +181,7 @@ def validate(s: Solution) -> ValidationReport:
     failing triple. Each failed axiom reports its lex-first witness.
     """
     n = s.n
-    pts = np.arange(n)
+    pts = np.arange(n, dtype=np.intp)
     S = np.array(s.sigma, dtype=np.intp)
     inv = np.empty_like(S)
     inv[pts[:, None], S] = pts
@@ -208,7 +208,7 @@ def validate(s: Solution) -> ValidationReport:
     step = max(1, _SLAB_TRIPLES // (n * n))
     for x0 in range(0, n, step):
         X = slice(x0, x0 + step)
-        B = R2[X]  # b = gamma_y(x), rows (x, y)
+        B = R2[X]  # b = gamma_y(x) for each (x, y)
         ac = (S[X] * n)[:, :, None] + S[B]  # pair (a, c)
         xg = pts[X, None, None] * n + S  # pair (x, g), g = sigma_y(z)
         jh = Rf[xg] * n + R2  # pair (j, h)
