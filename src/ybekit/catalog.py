@@ -96,8 +96,9 @@ def write_catalog(
 def read_catalog(path: str) -> tuple[dict, list[CatalogRecord]]:
     """Read a JSON-lines catalog back as (header, records).
 
-    A malformed line, a header whose n is not a JSON int, or a record whose
-    n is not the header's, raises InvalidSolutionError naming its line number.
+    A malformed line (nested too deeply to parse included), a header whose n
+    is not a JSON int, or a record whose n is not the header's, raises
+    InvalidSolutionError naming its line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -120,6 +121,10 @@ def read_catalog(path: str) -> tuple[dict, list[CatalogRecord]]:
         except json.JSONDecodeError as exc:
             raise InvalidSolutionError(
                 f"catalog line {lineno}: malformed JSON: {exc.msg}"
+            ) from exc
+        except RecursionError as exc:
+            raise InvalidSolutionError(
+                f"catalog line {lineno}: malformed JSON: nested too deeply to parse"
             ) from exc
         except InvalidSolutionError as exc:
             raise InvalidSolutionError(f"catalog line {lineno}: {exc}") from exc

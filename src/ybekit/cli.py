@@ -6,9 +6,9 @@ default (--pretty switches to an indented human-readable form). Exit codes
 are fixed so CI can discriminate failure classes:
 
     0  success
-    1  I/O, parse or usage error (unreadable file, malformed JSON,
-       non-permutation rows, unknown, missing or out-of-range option,
-       closed output pipe)
+    1  I/O, parse or usage error (unreadable file, unwritable output,
+       malformed or too deeply nested JSON, non-permutation rows, unknown,
+       missing or out-of-range option, closed output pipe)
     2  invalid solution (an axiom fails)
     3  budget exceeded (size guard, brace order cap or time budget)
     4  classification shape failure (a primitive class of impossible form)
@@ -68,6 +68,8 @@ def _load_or_report(source: str) -> Solution | None:
             f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+    except RecursionError:
+        print("error: malformed JSON: nested too deeply to parse", file=sys.stderr)
     except InvalidSolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
     return None
@@ -216,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed the pipe (e.g. `| head`). Point stdout at devnull
         # so the interpreter's final flush does not raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    except OSError as exc:  # e.g. an unwritable --output or --csv path
+        print(f"error: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)

@@ -4,8 +4,10 @@ Exhaustive, isomorph-free enumeration of solutions for small set sizes.
 Two independent routes exist:
 
 * `oracle_enumerate` (n <= 4): sweep all (n!)^n sigma tables, keep the ones
-  that pass `validate`, and bucket them by canonical form. Slow and plainly
-  correct; it is the ground truth the fast path is judged against.
+  whose derived gamma columns are bijections (the non-degeneracy axiom,
+  checked literally over arrays), pass those to `validate`, and bucket the
+  solutions by canonical form. One path for every n, no derived identities;
+  it is the ground truth the fast path is judged against.
 
 * `fast_enumerate` (n <= 7 by default, n = 8 opt-in): depth-first search
   over partial sigma tables, one row at a time, with three pruning devices:
@@ -78,7 +80,6 @@ from .solutions import (
 
 ORACLE_LIMIT = 4
 DEFAULT_EXHAUSTIVE_LIMIT = 7
-HARD_LIMIT = 8
 
 @dataclass
 class SearchStats:
@@ -375,8 +376,8 @@ def enumerate_canonical_tables(
         raise ValueError("size must be >= 1")
     if time_budget_secs is not None and not time_budget_secs > 0:  # NaN fails too
         raise ValueError("time budget must be > 0")
-    if n > HARD_LIMIT:
-        raise BudgetExceededError(f"enumeration beyond n={HARD_LIMIT} is unsupported")
+    if n > symtab.MAX_DEGREE:
+        raise BudgetExceededError(f"enumeration beyond n={symtab.MAX_DEGREE} is unsupported")
     if n > DEFAULT_EXHAUSTIVE_LIMIT and not allow_large:
         raise BudgetExceededError(
             f"n={n} exceeds the default budget (n <= {DEFAULT_EXHAUSTIVE_LIMIT}); "
@@ -491,7 +492,8 @@ def analyze(s: Solution, brace_cap: int = DEFAULT_BRACE_CAP) -> CatalogRecord:
 def oracle_enumerate(n: int) -> list[CatalogRecord]:
     """
     Ground-truth enumeration for n <= 4: every sigma table is generated,
-    validated with the brute-force checker, and bucketed by canonical form.
+    the non-degenerate ones are validated with the brute-force checker, and
+    the solutions are bucketed by canonical form.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -502,55 +504,32 @@ def oracle_enumerate(n: int) -> list[CatalogRecord]:
 
 @functools.cache
 def _oracle_records(n: int) -> tuple[CatalogRecord, ...]:
-    tab = symtab.get_tables(n)
-    if n <= 3:
-        tables = itertools.product(tab.perms, repeat=n)
-    else:
-        tables = _oracle_prefiltered_tables(n)
-    survivors = [rows for rows in tables if validate(Solution(n, rows)).passed]
+    survivors = [rows for rows in _nondegenerate_tables(n) if validate(Solution(n, rows)).passed]
     classes = sorted({canonical_form(Solution(n, rows)).sigma for rows in survivors})
     return tuple(_record_from_canonical(t) for t in classes)
 
 
-def _oracle_prefiltered_tables(n: int):
+def _nondegenerate_tables(n: int):
     """
-    Candidate tables surviving two vectorized necessary conditions: every
-    derived gamma column is a bijection, and the row identity
-    sigma_{sigma_x(y)} o sigma_{gamma_y(x)} == sigma_x o sigma_y holds.
-    Both follow from the axioms, so no valid table is dropped; survivors
-    still go through the full checker. Rows are composed from their image
-    arrays, not through the search's composition table, so a wrong table
-    cannot make both routes drop the same solution.
+    Every sigma table, in lex order, whose derived columns
+    gamma_y(x) = sigma_{sigma_x(y)}^{-1}(x) are all bijections: the literal
+    non-degeneracy axiom, decided at once for the (n!)^(n-1) tables sharing a
+    row 0. Rows are read from their image arrays, not through the search's
+    composition table, so a wrong table cannot make both routes drop the
+    same solution.
     """
     tab = symtab.get_tables(n)
-    m = tab.m
-    perms_np = tab.np_perms.astype(np.int32)
-    inv_np = tab.np_inv.astype(np.int32)
-    arange_n = np.arange(n)
-
-    grids = np.indices((m,) * (n - 1)).reshape(n - 1, -1).T  # rows 1..n-1
-    for i0 in range(m):
-        idx = np.empty((grids.shape[0], n), dtype=np.int32)
+    perms, inv = tab.np_perms.astype(np.intp), tab.np_inv.astype(np.intp)
+    pts = np.arange(n)
+    # idx[t, x]: index of row x of table t; column 0 is set per row 0 below
+    idx = np.array([(0, *r) for r in itertools.product(range(tab.m), repeat=n - 1)], dtype=np.intp)
+    for i0 in range(tab.m):
         idx[:, 0] = i0
-        idx[:, 1:] = grids
-        t = idx.shape[0]
-        sel = np.arange(t)[:, None, None]
-
-        u = perms_np[idx]  # u[t, x, y] = sigma_x(y)
-        j = idx[sel, u]  # j[t, x, y] = row index of sigma_{u}
-        gam = inv_np[j, arange_n[None, :, None]]  # gamma[t, x, y] = gamma_y(x)
-
-        sorted_cols = np.sort(gam, axis=1)
-        nondeg = (sorted_cols == arange_n[None, :, None]).all(axis=1).all(axis=1)
-
-        kk = idx[sel, gam]  # row index of sigma_{gamma_y(x)}
-        # composed image arrays: lhs[t, x, y, z] = sigma_u(sigma_{gamma_y(x)}(z))
-        lhs = np.take_along_axis(perms_np[j], perms_np[kk], axis=3)
-        rhs = np.take_along_axis(u[:, :, None, :], u[:, None, :, :], axis=3)
-        mask = nondeg & (lhs == rhs).all(axis=(1, 2, 3))
-
-        for t_i in np.nonzero(mask)[0]:
-            yield tuple(tab.perms[int(v)] for v in idx[t_i])
+        u = perms[idx]  # u[t, x, y] = sigma_x(y)
+        gam = inv[idx[np.arange(len(idx))[:, None, None], u], pts[:, None]]  # gamma_y(x)
+        nondeg = (np.sort(gam, axis=1) == pts[:, None]).all(axis=(1, 2))
+        for t in np.flatnonzero(nondeg):
+            yield tuple(tab.perms[i] for i in idx[t].tolist())
 
 
 # -- the fast path ---------------------------------------------------------------

@@ -72,11 +72,12 @@ def test_malformed_record():
         json.dumps({"n": 2, "sigma": [[0, 1], [0, 1]], "valid": True, "bogus": 5}),
         json.dumps({"n": 2, "sigma": [[1, 0], [0, 1]], "valid": True}),
         json.dumps({"n": 2.0, "sigma": [[0, 1], [0, 1]], "valid": True}),
+        '{"n": 2, "sigma": ' + "[" * 50000 + "]" * 50000 + "}",
     ],
     ids=[
         "malformed-json", "float-entry", "non-bool-valid", "non-bool-flag", "non-int-mpl",
         "bool-group-order", "primitive-not-indecomposable", "n-differs-from-header",
-        "unknown-key", "valid-but-fails-validate", "float-n",
+        "unknown-key", "valid-but-fails-validate", "float-n", "nested-too-deeply",
     ],
 )
 def test_bad_record_line_rejected(tmp_path, line):

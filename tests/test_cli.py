@@ -12,6 +12,8 @@ from ybekit.enumeration import analyze
 from ybekit.solutions import Solution
 
 ROOT = Path(__file__).resolve().parents[1]
+# a solution whose sigma is nested past the JSON parser's recursion limit
+DEEP_JSON = '{"n": 1, "sigma": ' + "[" * 50000 + "]" * 50000 + "}"
 
 
 def write(tmp_path, name, payload):
@@ -76,6 +78,28 @@ def test_validate_non_integer_entries(capsys):
 def test_validate_non_integer_n(capsys, n, sigma):
     assert main(["validate", f'{{"n": {n}, "sigma": {sigma}}}']) == 1
     assert f'"n" must be a JSON int, not {json.loads(n)!r}' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_deeply_nested_json(command, capsys):
+    assert main([command, DEEP_JSON]) == 1
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", '{"n": 1, "sigma": [[0]]}', "--output", "/nonexistent/x.json"],
+        ["analyze", '{"n": 1, "sigma": [[0]]}', "--output", "/nonexistent/x.json"],
+        ["enumerate", "--n", "2", "--output", "/nonexistent/d/x.jsonl"],
+        ["classify", "--n-max", "2", "--output", "/nonexistent/x.json"],
+        ["classify", "--n-max", "2", "--csv", "/nonexistent/x.csv"],
+    ],
+)
+def test_unwritable_output_exits_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_validate_inline_json(capsys):
@@ -147,7 +171,7 @@ def test_classify_small(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     counts = {int(n): blob["count"] for n, blob in out["per_n"].items()}
     assert counts == {2: 1, 3: 1, 4: 0, 5: 1}
-    lines = open(csv_path).read().strip().splitlines()
+    lines = Path(csv_path).read_text().strip().splitlines()
     assert lines[0] == "n,primitive_classes,prime_size"
     assert len(lines) == 5
 
@@ -220,26 +244,29 @@ def test_process_exit_codes_and_closed_pipe():
     """Exit codes as a shell sees them, and a closed stdout ends without a traceback."""
     argv = [sys.executable, "-m", "ybekit.cli"]
     env = {**os.environ, "PYTHONPATH": "src"}
-    cases = {
-        0: ["validate", '{"n": 1, "sigma": [[0]]}'],
-        1: ["validate", "{"],
-        2: ["validate", '{"n": 2, "sigma": [[0, 1], [1, 0]]}'],
-        3: ["enumerate", "--n", "8"],
-    }
-    for code, args in cases.items():
+    cases = [
+        (0, ["validate", '{"n": 1, "sigma": [[0]]}']),
+        (1, ["validate", "{"]),
+        (1, ["validate", DEEP_JSON]),
+        (1, ["enumerate", "--n", "2", "--output", "/nonexistent/d/x.jsonl"]),
+        (2, ["validate", '{"n": 2, "sigma": [[0, 1], [1, 0]]}']),
+        (3, ["enumerate", "--n", "8"]),
+    ]
+    for code, args in cases:
         proc = subprocess.run(argv + args, cwd=ROOT, env=env, capture_output=True, timeout=120)
         assert proc.returncode == code, proc.stderr
-    proc = subprocess.Popen(
+        assert b"Traceback" not in proc.stderr
+    with subprocess.Popen(
         argv + ["enumerate", "--n", "5"],
         cwd=ROOT,
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err
 
 

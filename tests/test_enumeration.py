@@ -8,6 +8,7 @@ from reference import lexsort_min_relabeled
 from ybekit.catalog import CatalogRecord
 from ybekit.enumeration import (
     SearchStats,
+    _nondegenerate_tables,
     _Search,
     analyze,
     canonical_root_rows,
@@ -35,6 +36,19 @@ def test_oracle_counts():
 def test_oracle_refuses_large_n():
     with pytest.raises(ValueError):
         oracle_enumerate(5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_prepass_keeps_exactly_the_nondegenerate_tables(n):
+    every = itertools.product(get_tables(n).perms, repeat=n)
+    expected = [rows for rows in every if validate(Solution(n, rows)).nondegenerate]
+    assert list(_nondegenerate_tables(n)) == expected
+
+
+def test_oracle_prepass_at_n4():
+    tables = list(_nondegenerate_tables(4))
+    assert len(tables) == 3360
+    assert sum(validate(Solution(4, rows)).passed for rows in tables) == 168
 
 
 def test_oracle_equivalence_small():
