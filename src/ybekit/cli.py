@@ -28,7 +28,7 @@ import sys
 from . import __version__
 from .braces import DEFAULT_BRACE_CAP
 from .catalog import write_catalog
-from .enumeration import analyze, classify_primitive, fast_enumerate
+from .enumeration import SearchStats, analyze, classify_primitive, fast_enumerate
 from .errors import BudgetExceededError, InvalidSolutionError, ClassificationShapeError
 from .solutions import Solution, validate
 
@@ -94,11 +94,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    stats = SearchStats()
     records = fast_enumerate(
         args.n,
         threads=args.threads,
         allow_large=args.allow_large,
         time_budget_secs=args.time_budget,
+        stats=stats,
     )
     budget = {
         "time_budget_secs": args.time_budget,
@@ -115,7 +117,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "multipermutation": sum(1 for r in records if r.mpl is not None),
         "brace_trivial": sum(1 for r in records if r.brace_trivial),
     }
-    summary = {"n": args.n, "tallies": tallies, "output": args.output}
+    summary = {"n": args.n, "tallies": tallies, "search": vars(stats), "output": args.output}
     print(json.dumps(summary, indent=2 if args.pretty else None, sort_keys=True))
     return EXIT_OK
 

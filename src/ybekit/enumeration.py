@@ -19,14 +19,17 @@ Two independent routes exist:
      it is x, u or y, so rows are forced long before they are branched on;
      partial gamma values are tracked per column and any collision (a
      non-degeneracy violation) kills the branch. A vectorized filter checks
-     the same triples one step deep for all candidate values of the next
-     row. Both conditions are necessary, so no solution is ever pruned.
+     the same triples one step deep for the candidate values of the next
+     row, each test on the candidates that passed the ones before it. Both
+     conditions are necessary, so no solution is ever pruned.
   2. ordered-invariant bound: in a lex-minimal table, relabeling any point
      v to 0 cannot produce a first row lex-smaller than row 0; each known
      row is checked against a precomputed minimal-conjugate table.
   3. canonicity: one vectorized comparator relabels rows 1..d-1 under all
      aligners of an anchor at once (relabelings taking the anchor to 0 and its
-     row onto the root row; cached per search). At d = n it decides if a table
+     row onto the root row). The aligners that keep {0..d-1} and their flat
+     gather indices are prepared once per (row, root, anchor, d) and dropped
+     when the search moves to the next root. At d = n it decides if a table
      is orbit-least; below, it prunes.
 
   Canonical leaves are re-validated with the brute-force checker before
@@ -126,8 +129,9 @@ class _Search:
         self.tab = symtab.get_tables(n)
         self.tab.ensure_comp()
         self.n = n
-        self.arange_m = np.arange(self.tab.m, dtype=np.int32)
-        self._aligner_array_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.arange_n = np.arange(n, dtype=np.intp)
+        self.np_perms_flat = self.tab.np_perms.ravel()
+        self._gather_cache: dict[tuple[int, int, int], list] = {}
         self.deadline = deadline
         self.stats = SearchStats()
         self.results: list[tuple[Perm, ...]] = []
@@ -149,7 +153,7 @@ class _Search:
         """
         n, tab = self.n, self.tab
         perms, iperms, invi, mc = tab.perms, tab.iperms, tab.invi, tab.mc
-        root, compose = self.root, tab.compose_idx
+        root, compose, comp, m = self.root, tab.compose_idx, tab._comp, tab.m
         stack = [(r0, c0)]
         while stack:
             r, c = stack.pop()
@@ -194,7 +198,10 @@ class _Search:
             # braid half
             for x, y, ru in done:
                 v = iperms[ru][x]
-                rv = compose(invi[ru], compose(rows[x], rows[y]))
+                if comp is not None:  # n <= 7: read the composition buffer
+                    rv = comp[invi[ru] * m + comp[rows[x] * m + rows[y]]]
+                else:
+                    rv = compose(invi[ru], compose(rows[x], rows[y]))
                 cur = rows[v]
                 if cur is None:
                     stack.append((v, rv))
@@ -204,47 +211,50 @@ class _Search:
 
     # -- symmetry breaking ---------------------------------------------------
 
-    def _aligner_arrays(self, src: int, x0: int) -> tuple[np.ndarray, np.ndarray]:
+    def _gathers(self, src: int, x0: int) -> list:
         """
-        The relabelings f with f(x0) = 0 and f perms[src] f^-1 = perms[root]
-        as the rows of F, and their inverses as the rows of Finv.
+        Per prefix length d, the gathers of `_canonical` for anchor x0 with
+        row src: the relabelings f with f(x0) = 0, f perms[src] f^-1 =
+        perms[root] and f({0..d-1}) = {0..d-1} as the rows of F, with the flat
+        gather indices of the relabeled rows 1..d-1 (None if no f is kept).
         """
         key = (src, self.root, x0)
-        if key not in self._aligner_array_cache:
-            F = np.array(list(self.tab.aligners(*key)), dtype=np.int8).reshape(-1, self.n)
-            self._aligner_array_cache[key] = F, np.argsort(F, axis=1).astype(np.int8)
-        return self._aligner_array_cache[key]
-
-    def _lex_beaten(self, rows, x: int, d: int) -> bool:
-        """
-        Whether an aligner of anchor x that maps {0..d-1} into itself turns
-        rows 1..d-1 into a lex-smaller block. Relabeled row i is
-        f o sigma_{f^-1(i)} o f^-1, built for every aligner and row at once.
-        """
-        F, Finv = self._aligner_arrays(rows[x], x)
-        keep = (F[:, :d] < d).all(axis=1)
-        if d < 2 or not keep.any():
-            return False
-        F, Finv, k = F[keep], Finv[keep], int(keep.sum())
-        R = np.array(rows[:d], dtype=np.intp)
-        P = self.tab.np_perms
-        rel = F[np.arange(k)[:, None, None], P[R[Finv[:, 1:d]][:, :, None], Finv[:, None, :]]]
-        rel = rel.reshape(k, -1)
-        cur = P[R[1:d]].reshape(-1)
-        lt = rel < cur
-        first = (lt | (rel > cur)).argmax(axis=1)
-        return bool(lt[np.arange(k), first].any())
+        if key not in self._gather_cache:
+            n = self.n
+            every = np.array(list(self.tab.aligners(*key)), dtype=np.intp).reshape(-1, n)
+            per_d = [None] * (n + 1)
+            for d in range(max(2, x0 + 1), n + 1):
+                F = every[(every[:, :d] < d).all(axis=1)]
+                Fi, aoff = np.argsort(F, axis=1), np.arange(0, F.size, n)[:, None, None]
+                if len(F):
+                    per_d[d] = F, Fi[:, 1:d, None], Fi[:, None, :], aoff
+            self._gather_cache[key] = per_d
+        return self._gather_cache[key]
 
     def _canonical(self, rows, d: int) -> bool:
         """
-        No relabeling that keeps {0..d-1} beats the d-row prefix. At d = n this
-        is exact lex-minimality of the table in its relabeling orbit; below, a
-        prefix that fails it has no canonical completion.
+        No relabeling that keeps {0..d-1} beats the d-row prefix. For each
+        anchor x < d whose row conjugates onto the root row with x going to 0,
+        every such aligner f relabels rows 1..d-1 at once, row i to
+        f o sigma_{f^-1(i)} o f^-1, and none may give a lex-smaller block. At
+        d = n this is exact lex-minimality of the table in its relabeling
+        orbit; below, a prefix that fails it has no canonical completion.
         """
-        mc, root = self.tab.mc, self.root
-        return not any(
-            self._lex_beaten(rows, x, d) for x in range(d) if mc[rows[x]][x] == root
-        )
+        if d < 2:
+            return True
+        mc, root, P = self.tab.mc, self.root, self.np_perms_flat
+        R = np.array(rows[:d], dtype=np.intp) * self.n
+        cur = P[R[1:, None] + self.arange_n].ravel()
+        for x in range(d):
+            g = self._gathers(rows[x], x)[d] if mc[rows[x]][x] == root else None
+            if g is None:
+                continue
+            F, rowsel, colsel, aoff = g
+            rel = F.ravel()[aoff + P[R[rowsel] + colsel]].reshape(len(F), -1)
+            first = (rel != cur).argmax(axis=1)
+            if (rel[np.arange(len(F)), first] < cur[first]).any():
+                return False
+        return True
 
     # -- search ------------------------------------------------------------------
 
@@ -263,59 +273,58 @@ class _Search:
     def _candidate_mask(self, rows, gmask, k) -> np.ndarray:
         """
         Vectorized necessary conditions on candidate values for row k: the
-        triples of `_know` that row k completes, one step deep. Every rejected
-        candidate would also be rejected by the exact cascade, so this only
-        trims the loop, never the result set.
+        triples of `_know` that row k completes, one step deep. Each test runs
+        only on the candidates c that passed the tests before it. Every
+        rejected candidate would also be rejected by the exact cascade, so
+        this only trims the loop, never the result set.
         """
-        n, tab, root, ar = self.n, self.tab, self.root, self.arange_m
+        n, tab, root = self.n, self.tab, self.root
         P, IV, C, invi_np, mc_np = tab.np_perms, tab.np_inv, tab.comp_np, tab.invi_np, tab.mc_np
-        ok = mc_np[:, k] >= root
-        rows_arr = np.fromiter(
-            (r if r is not None else -1 for r in rows), dtype=np.int32, count=n
-        )
+        c = np.flatnonzero(mc_np[:, k] >= root)
+        rows_arr = np.array([-1 if r is None else r for r in rows], dtype=np.intp)
 
         def forced_ok(v, rv):
             # forced row v (one per candidate, or one for all) may take value rv
             va = np.where(v == k, -2, rows_arr[v])
             unknown_ok = mc_np[rv, v] >= root
-            return np.where(va == -2, rv == ar, np.where(va >= 0, va == rv, unknown_ok))
+            return np.where(va == -2, rv == c, np.where(va >= 0, va == rv, unknown_ok))
 
         # per triple, the gamma entry v first, then the row forced at v once
-        # row y is known; a row given as ar is the candidate itself
+        # row y is known; a row given as c is the candidate itself
         for y in range(n):  # k is x
-            ucol = P[:, y]
-            ru = np.where(ucol == k, ar, rows_arr[ucol])
+            ucol = P[c, y]
+            ru = np.where(ucol == k, c, rows_arr[ucol])
             known = ru >= 0
             if not known.any():
                 continue
             v = IV[ru, k]
-            ok &= ~known | (((gmask[y] >> v) & 1) == 0)
-            ry = ar if y == k else rows[y]
+            ok = ~known | (((gmask[y] >> v) & 1) == 0)
+            ry = c if y == k else rows[y]
             if C is not None and ry is not None:
-                ok &= ~known | forced_ok(v, C[invi_np[ru], C[ar, ry]])
+                ok &= ~known | forced_ok(v, C[invi_np[ru], C[c, ry]])
+            c = c[ok]
         for x in range(n):
             rx = rows[x]
             if rx is None or x == k:
                 continue
             y = tab.iperms[rx][k]  # k is u
-            v = IV[:, x]
-            ok &= ((gmask[y] >> v) & 1) == 0
-            if C is None:
-                continue
-            ry = ar if y == k else rows[y]
-            if ry is not None:
-                ok &= forced_ok(v, C[invi_np, C[rx, ry]])
-            u = tab.perms[rx][k]  # k is y; its gamma entry is known without row k
-            ru = rows[u]
-            if ru is not None and u != k:  # u == k was taken as y == k above
-                ok &= forced_ok(IV[ru, x], C[invi_np[ru], C[rx]])
-        return ok
+            v = IV[c, x]
+            ok = ((gmask[y] >> v) & 1) == 0
+            if C is not None:
+                ry = c if y == k else rows[y]
+                if ry is not None:
+                    ok &= forced_ok(v, C[invi_np[c], C[rx, ry]])
+                u = tab.perms[rx][k]  # k is y; its gamma entry is known without row k
+                ru = rows[u]
+                if ru is not None and u != k:  # u == k was taken as y == k above
+                    ok &= forced_ok(IV[ru, x], C[invi_np[ru], C[rx, c]])
+            c = c[ok]
+        return np.bincount(c, minlength=tab.m).astype(bool)
 
     def _dfs(self, rows, gmask) -> None:
         self.stats.nodes += 1
-        if self.deadline is not None and self.stats.nodes % 64 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceededError("enumeration time budget exceeded")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceededError("enumeration time budget exceeded")
         k = None
         for i in range(self.n):
             if rows[i] is None:
@@ -326,16 +335,16 @@ class _Search:
             return
         if k >= 2 and not self._canonical(rows, k):
             return
-        candidates = np.nonzero(self._candidate_mask(rows, gmask, k))[0]
-        for c in candidates:
+        for c in np.flatnonzero(self._candidate_mask(rows, gmask, k)).tolist():
             rows2 = rows[:]
             gmask2 = gmask[:]
-            if self._know(rows2, gmask2, k, int(c)):
+            if self._know(rows2, gmask2, k, c):
                 self._dfs(rows2, gmask2)
 
     def run(self, roots) -> list[tuple[Perm, ...]]:
         for c in roots:
             self.root = c
+            self._gather_cache.clear()  # every key holds the root
             rows: list[int | None] = [None] * self.n
             gmask = [0] * self.n
             if self._know(rows, gmask, 0, c):

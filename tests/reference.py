@@ -12,12 +12,18 @@ references; the tests require equal results.
 * `lexsort_min_relabeled`: every relabeled table built in full and sorted.
 * `loop_mc`: the minimal-conjugate table from the cycles of every
   permutation, one at a time.
+* `dense_candidate_mask`: the search's candidate filter with every test run
+  on all m candidates, not only on those that passed the tests before it.
+* `brute_prefix_canonical`: prefix canonicity by trying every relabeling
+  in Sym(n), one at a time, instead of the aligners of each anchor.
 * `exhaustive_verify_construction`: the construction checks, in their
   order and with their messages, with associativity, the compatibility
   axiom and the action property tested at every element, not on the
   generators only, and the generating-set test done by a set `closure`.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -126,6 +132,66 @@ def loop_mc(tab: SymTables) -> list[list[int]]:
         types_lens.append((t, lens))
         lexmin_by_type_anchor.setdefault((t, lens[0]), i)  # first in lex order
     return [[lexmin_by_type_anchor[(t, ln)] for ln in lens] for t, lens in types_lens]
+
+
+def dense_candidate_mask(search, rows, gmask, k) -> np.ndarray:
+    """The boolean mask of `_Search._candidate_mask`, each test over all m candidates."""
+    n, tab, root = search.n, search.tab, search.root
+    P, IV, C, invi_np, mc_np = tab.np_perms, tab.np_inv, tab.comp_np, tab.invi_np, tab.mc_np
+    ar = np.arange(tab.m, dtype=np.int32)
+    ok = mc_np[:, k] >= root
+    rows_arr = np.fromiter((r if r is not None else -1 for r in rows), dtype=np.int32, count=n)
+
+    def forced_ok(v, rv):
+        va = np.where(v == k, -2, rows_arr[v])
+        unknown_ok = mc_np[rv, v] >= root
+        return np.where(va == -2, rv == ar, np.where(va >= 0, va == rv, unknown_ok))
+
+    for y in range(n):  # k is x
+        ucol = P[:, y]
+        ru = np.where(ucol == k, ar, rows_arr[ucol])
+        known = ru >= 0
+        if not known.any():
+            continue
+        v = IV[ru, k]
+        ok &= ~known | (((gmask[y] >> v) & 1) == 0)
+        ry = ar if y == k else rows[y]
+        if C is not None and ry is not None:
+            ok &= ~known | forced_ok(v, C[invi_np[ru], C[ar, ry]])
+    for x in range(n):
+        rx = rows[x]
+        if rx is None or x == k:
+            continue
+        y = tab.iperms[rx][k]  # k is u
+        v = IV[:, x]
+        ok &= ((gmask[y] >> v) & 1) == 0
+        if C is None:
+            continue
+        ry = ar if y == k else rows[y]
+        if ry is not None:
+            ok &= forced_ok(v, C[invi_np, C[rx, ry]])
+        u = tab.perms[rx][k]  # k is y
+        ru = rows[u]
+        if ru is not None and u != k:
+            ok &= forced_ok(IV[ru, x], C[invi_np[ru], C[rx]])
+    return ok
+
+
+def brute_prefix_canonical(prefix) -> bool:
+    """
+    Whether no relabeling f of Sym(n) that keeps {0..d-1} (d = len(prefix))
+    and relabels some row of the prefix onto row 0 makes rows 1..d-1 of the
+    relabeled prefix lex-smaller. Relabeled row i is f o sigma_{f^-1(i)} o f^-1.
+    """
+    d, n = len(prefix), len(prefix[0])
+    for f in itertools.permutations(range(n)):
+        if any(f[i] >= d for i in range(d)):
+            continue
+        finv = inverse(f)
+        rel = [tuple(f[prefix[finv[i]][finv[j]]] for j in range(n)) for i in range(d)]
+        if rel[0] == prefix[0] and rel[1:] < list(prefix[1:]):
+            return False
+    return True
 
 
 def closure(table: np.ndarray, gens) -> set[int]:

@@ -147,6 +147,19 @@ def test_enumerate_writes_catalog(tmp_path, capsys):
         assert again.group_order == rec.group_order
 
 
+def test_enumerate_reports_search_counters(capsys):
+    assert main(["enumerate", "--n", "5"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["tallies"]["classes"] == 88
+    assert summary["search"] == {
+        "nodes": 471,
+        "leaves": 211,
+        "accepted": 88,
+        "noncanonical_leaves": 123,
+        "invalid_leaves": 0,
+    }
+
+
 def test_enumerate_budget_guard(capsys):
     assert main(["enumerate", "--n", "8"]) == 3
     assert "budget" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
-from reference import lexsort_min_relabeled
+from reference import brute_prefix_canonical, dense_candidate_mask, lexsort_min_relabeled
 from ybekit.catalog import CatalogRecord
 from ybekit.enumeration import (
     SearchStats,
@@ -89,6 +90,13 @@ def test_time_budget_is_explicit_error():
         enumerate_canonical_tables(6, time_budget_secs=1e-9, use_cache=False)
 
 
+def test_deadline_checked_at_every_node():
+    search = _Search(6, deadline=time.monotonic() - 1.0)
+    with pytest.raises(BudgetExceededError):
+        search.run(canonical_root_rows(6))
+    assert search.stats.nodes == 1
+
+
 def test_determinism_across_threads():
     one = enumerate_canonical_tables(4, threads=1, use_cache=False)
     two = enumerate_canonical_tables(4, threads=2, use_cache=False)
@@ -108,6 +116,7 @@ def test_all_tables_are_canonical_and_valid():
 EXPECTED_STATS = {
     4: SearchStats(nodes=76, leaves=43, accepted=23, invalid_leaves=0, noncanonical_leaves=20),
     5: SearchStats(nodes=471, leaves=211, accepted=88, invalid_leaves=0, noncanonical_leaves=123),
+    6: SearchStats(nodes=3947, leaves=1639, accepted=595, invalid_leaves=0, noncanonical_leaves=1044),
 }
 
 
@@ -116,6 +125,15 @@ def test_stats_reported():
         stats = SearchStats()
         enumerate_canonical_tables(n, use_cache=False, stats=stats)
         assert stats == expected
+
+
+def test_n7_stats_of_the_classification_run(classification7):
+    # the fixture's run filled the cache; this reads its counters, no new search
+    stats = SearchStats()
+    enumerate_canonical_tables(7, stats=stats)
+    assert stats == SearchStats(
+        nodes=38152, leaves=10664, accepted=3456, invalid_leaves=0, noncanonical_leaves=7208
+    )
 
 
 def test_stats_reported_on_cache_hit():
@@ -166,6 +184,55 @@ def test_candidate_mask_drops_only_what_know_rejects():
         assert search.rejected > 0
         if n in EXPECTED_STATS:
             assert search.stats == EXPECTED_STATS[n]
+
+
+class _DenseMaskSearch(_Search):
+    """A search that checks every candidate mask against the dense reference."""
+
+    calls = 0
+
+    def _candidate_mask(self, rows, gmask, k):
+        ok = super()._candidate_mask(rows, gmask, k)
+        dense = dense_candidate_mask(self, rows, gmask, k)
+        assert ok.dtype == bool and np.array_equal(ok, dense), (rows, k)
+        self.calls += 1
+        return ok
+
+
+def test_candidate_mask_matches_dense_reference():
+    calls = {}
+    for n in range(1, 7):
+        search = _DenseMaskSearch(n)
+        search.run(canonical_root_rows(n))
+        calls[n] = search.calls
+        if n in EXPECTED_STATS:
+            assert search.stats == EXPECTED_STATS[n]
+    assert calls[6] == 896
+
+
+class _BrutePrefixSearch(_Search):
+    """A search that checks every canonicity verdict against a sweep over Sym(n)."""
+
+    verdicts: set
+
+    def _canonical(self, rows, d):
+        got = super()._canonical(rows, d)
+        prefix = [self.tab.perms[r] for r in rows[:d]]
+        assert got == brute_prefix_canonical(prefix), (rows, d)
+        self.verdicts.add((d < self.n, got))
+        return got
+
+
+def test_prefix_canonicity_matches_brute_force():
+    # every _canonical call of the searches: each _dfs prefix with k >= 2,
+    # where d = k < n, and each leaf, where d = n
+    for n in range(1, 6):
+        search = _BrutePrefixSearch(n)
+        search.verdicts = set()
+        search.run(canonical_root_rows(n))
+        assert search.stats == EXPECTED_STATS.get(n, search.stats)
+        if n >= 4:
+            assert search.verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _disjoint_union(a, b):
@@ -230,11 +297,20 @@ def test_leaf_comparator_matches_min_relabeled():
     assert set().union(*verdicts.values()) == {True, False}
 
     for n, search in searches.items():
-        assert search._aligner_array_cache
-        for (src, root, x0), (F, Finv) in search._aligner_array_cache.items():
-            got = {tuple(f) for f in F.tolist()}
-            assert len(got) == len(F) and got == set(search.tab.aligners(src, root, x0))
-            assert (np.take_along_axis(F, Finv, axis=1) == np.arange(n)).all()
+        assert search._gather_cache or n == 1  # a one-row table is never compared
+        for (src, root, x0), per_d in search._gather_cache.items():
+            every = list(search.tab.aligners(src, root, x0))
+            for d, gathers in enumerate(per_d):
+                kept = {f for f in every if all(f[i] < d for i in range(d))}
+                if gathers is None:
+                    assert d <= max(1, x0) or not kept
+                    continue
+                F, rowsel, colsel, aoff = gathers
+                assert F.dtype == rowsel.dtype == colsel.dtype == aoff.dtype == np.intp
+                got = {tuple(f) for f in F.tolist()}
+                assert len(got) == len(F) and got == kept
+                assert (np.take_along_axis(F, colsel[:, 0, :], axis=1) == np.arange(n)).all()
+                assert (rowsel[:, :, 0] == colsel[:, 0, 1:d]).all()
 
 
 def test_min_relabeled_matches_lexsort_reference():
