@@ -8,9 +8,10 @@ Only the sigma table is ever stored; gamma is always derived.
 
 `validate` decides the three defining axioms (involutivity, non-degeneracy
 of the derived gamma maps, and the braid relation on every triple) by
-evaluating both sides literally over numpy arrays, the triples in slabs of
-at most max(2^16, n^2), and gives a lex-first witness for each failed
-axiom. Everything downstream -- retraction, multipermutation level,
+evaluating both sides literally over numpy arrays, each braid triple's two
+sides packed into one integer and the triples taken in slabs of at most
+max(2^14, n^2), and gives a lex-first witness for each failed axiom.
+Everything downstream -- retraction, multipermutation level,
 indecomposability, canonical forms -- assumes a validated solution.
 """
 from __future__ import annotations
@@ -32,6 +33,14 @@ def _entry(v: Any) -> int:
     if isinstance(v, bool):
         raise TypeError(f"entry {v!r} is a bool, not an integer")
     return operator.index(v)
+
+
+def _table(rows: Any) -> tuple[Perm, ...]:
+    """The rows as tuples of ints; their count and shape are checked later."""
+    try:
+        return tuple(tuple(_entry(v) for v in row) for row in rows)
+    except TypeError as exc:
+        raise InvalidSolutionError(f"malformed sigma table: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -58,10 +67,7 @@ class Solution:
 
     @classmethod
     def from_rows(cls, rows: Any) -> "Solution":
-        try:
-            sigma = tuple(tuple(_entry(v) for v in row) for row in rows)
-        except TypeError as exc:
-            raise InvalidSolutionError(f"malformed sigma table: {exc}") from exc
+        sigma = _table(rows)
         return cls(len(sigma), sigma)
 
     @classmethod
@@ -84,10 +90,10 @@ class Solution:
             n = _entry(data["n"])
         except TypeError:
             raise InvalidSolutionError(f'"n" must be a JSON int, not {data["n"]!r}') from None
-        s = cls.from_rows(data["sigma"])
-        if s.n != n:
-            raise InvalidSolutionError(f'"n" is {n} but the sigma table has {s.n} rows')
-        return s
+        sigma = _table(data["sigma"])
+        if len(sigma) != n:
+            raise InvalidSolutionError(f'"n" is {n} but the sigma table has {len(sigma)} rows')
+        return cls(n, sigma)
 
     def to_json(self) -> dict:
         return {"n": self.n, "sigma": [list(row) for row in self.sigma]}
@@ -155,8 +161,11 @@ class ValidationReport:
         return out
 
 
-# Braid triples per slab of x; a slab holds at least one x, so n^2 if n > 256.
-_SLAB_TRIPLES = 1 << 16
+# Braid triples per slab of x, small enough that a slab's temporaries stay in
+# cache: 2^14 ran fastest of 2^13..2^17 on the associated solutions of the
+# analyze-large benchmark (n = 60..140, 2-core x86_64). A slab holds at least
+# one x, so n^2 if n > 128.
+_SLAB_TRIPLES = 1 << 14
 
 
 def validate(s: Solution) -> ValidationReport:
@@ -174,11 +183,18 @@ def validate(s: Solution) -> ValidationReport:
     braid: r12 r23 r12 (x, y, z) = (e, f, d), where (a, b) = r(x, y),
     (c, d) = r(b, z), (e, f) = r(a, c), equals r23 r12 r23 (x, y, z) =
     (i, k, m), where (g, h) = r(y, z), (i, j) = r(x, g), (k, m) = r(j, h).
-    Row b of S and R2 holds c and d for every z; (e, f) is compared with
-    (i, k) as the packed pairs SR[(a, c)] and i * n + k.
-    It is evaluated on slabs of consecutive x of at most max(2^16, n^2)
+    The two sides are compared as the packed triples e n^2 + f n + d and
+    i n^2 + k n + m, equal iff the triples are, since every entry is below
+    n. Rows b of S and R2 hold c and d for every z; the other terms are
+    flat gathers from pair-sized tables premultiplied once: SR * n at
+    (a, c) gives e n^2 + f n, S * n^2 at (x, g) gives i n^2, R2 * n at
+    (x, g) gives j n, and SR at (j, h) gives k n + m.
+    It is evaluated on slabs of consecutive x of at most max(2^14, n^2)
     triples, in order, so the first failing slab holds the lex-first
     failing triple. Each failed axiom reports its lex-first witness.
+
+    >>> validate(Solution(2, ((0, 1), (1, 0)))).braid_counterexample
+    (0, 0, 1)
     """
     n = s.n
     pts = np.arange(n, dtype=np.intp)
@@ -186,7 +202,6 @@ def validate(s: Solution) -> ValidationReport:
     inv = np.empty_like(S)
     inv[pts[:, None], S] = pts
     R2 = inv[S, pts[:, None]]
-    Sf, Rf = S.ravel(), R2.ravel()
     SR = S * n + R2
     SRf = SR.ravel()
 
@@ -205,15 +220,22 @@ def validate(s: Solution) -> ValidationReport:
         nondeg_ce = (y[0], x, int(np.flatnonzero(col == col[x])[1]))
 
     braid_ce = None
+    Sn = S * n
+    SRn, Sn2, Rn = SRf * n, Sn.ravel() * n, R2.ravel() * n
     step = max(1, _SLAB_TRIPLES // (n * n))
     for x0 in range(0, n, step):
         X = slice(x0, x0 + step)
         B = R2[X]  # b = gamma_y(x) for each (x, y)
-        ac = (S[X] * n)[:, :, None] + S[B]  # pair (a, c)
-        xg = pts[X, None, None] * n + S  # pair (x, g), g = sigma_y(z)
-        jh = Rf[xg] * n + R2  # pair (j, h)
-        bad = (SRf[ac] != Sf[xg] * n + Sf[jh]) | (R2[B] != Rf[jh])
-        braid_ce = first(bad)
+        ac = S.take(B, axis=0)  # c = sigma_b(z)
+        ac += Sn[X, :, None]  # pair (a, c)
+        xg = S + pts[X, None, None] * n  # pair (x, g), g = sigma_y(z)
+        jh = Rn.take(xg)
+        jh += R2  # pair (j, h)
+        lhs = SRn.take(ac)  # e n^2 + f n
+        lhs += R2.take(B, axis=0)  # + d
+        rhs = Sn2.take(xg)  # i n^2
+        rhs += SRf.take(jh)  # + k n + m
+        braid_ce = first(lhs != rhs)
         if braid_ce is not None:
             braid_ce = (x0 + braid_ce[0],) + braid_ce[1:]
             break

@@ -6,7 +6,8 @@ references; the tests require equal results.
   pairs and triples in lex order with plain Python loops and stops at the
   first failure of each axiom, so its witnesses are lex-first by
   construction; `validate` must agree on verdicts and on all three
-  witnesses.
+  witnesses. `braid_sides` gives both sides of the braid relation at one
+  triple, from the pair map `pair_map`.
 * `all_pairs_derived_series`: the derived series with each derived
   subgroup closed from the commutators of all element pairs.
 * `lexsort_min_relabeled`: every relabeled table built in full and sorted.
@@ -35,10 +36,27 @@ from ybekit.solutions import Solution, ValidationReport, gamma_table
 from ybekit.symtab import SymTables
 
 
+def pair_map(s: Solution) -> list[list[tuple[int, int]]]:
+    """r as nested lists: r[x][y] = (sigma_x(y), gamma_y(x))."""
+    gt = gamma_table(s)
+    return [[(s.sigma[x][y], gt[y][x]) for y in range(s.n)] for x in range(s.n)]
+
+
+def braid_sides(r, x: int, y: int, z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """r12 r23 r12 (x, y, z) and r23 r12 r23 (x, y, z), for r from `pair_map`."""
+    a, b = r[x][y]
+    c, d = r[b][z]
+    e, f = r[a][c]
+    g, h = r[y][z]
+    i, j = r[x][g]
+    k, m = r[j][h]
+    return (e, f, d), (i, k, m)
+
+
 def loop_validate(s: Solution) -> ValidationReport:
     n = s.n
     gt = gamma_table(s)
-    r = [[(s.sigma[x][y], gt[y][x]) for y in range(n)] for x in range(n)]
+    r = pair_map(s)
 
     involutive_ce = None
     for x in range(n):
@@ -64,17 +82,10 @@ def loop_validate(s: Solution) -> ValidationReport:
 
     braid_ce = None
     for x in range(n):
-        rx = r[x]
         for y in range(n):
-            ry = r[y]
             for z in range(n):
-                a, b = rx[y]
-                c, d = r[b][z]
-                e, f = r[a][c]
-                g, h = ry[z]
-                i, j = r[x][g]
-                k, m = r[j][h]
-                if (e, f, d) != (i, k, m):
+                lhs, rhs = braid_sides(r, x, y, z)
+                if lhs != rhs:
                     braid_ce = (x, y, z)
                     break
             if braid_ce:

@@ -229,7 +229,8 @@ def test_validate_memory_on_the_order_140_associated_solution():
             pi[start + i] = start + (i + 1) % length
     s = associated_solution(brace_from_solution(Solution.permutation_solution(tuple(pi))))
     assert s.n == 140
-    # one slab's intp temporary is at most 8 max(2^16, n^2) bytes; about 7 are live
+    # a slab here is one x, n^2 triples, so each of its intp temporaries takes
+    # 8 n^2 bytes, as does each pair table; about 15 of those are live at once
     tracemalloc.start()
     try:
         assert validate(s).passed

@@ -72,6 +72,11 @@ def test_validate_non_integer_entries(capsys):
     assert "malformed sigma table" in capsys.readouterr().err
 
 
+def test_validate_row_count_mismatch(capsys):
+    assert main(["validate", '{"n": 2, "sigma": [[0, 1], [1, 0], [0, 1]]}']) == 1
+    assert capsys.readouterr().err == 'error: "n" is 2 but the sigma table has 3 rows\n'
+
+
 @pytest.mark.parametrize(
     "n, sigma", [("true", "[[0]]"), ("2.0", "[[0, 1], [0, 1]]"), ('"2"', "[[0, 1], [0, 1]]")]
 )

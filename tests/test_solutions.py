@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import loop_validate
+from reference import braid_sides, loop_validate, pair_map
 from ybekit import solutions
 from ybekit.errors import InvalidSolutionError
 from ybekit.solutions import (
@@ -53,6 +53,12 @@ def test_structural_rejection():
 def test_non_integer_entries_rejected(rows):
     with pytest.raises(InvalidSolutionError):
         Solution.from_rows(rows)
+
+
+def test_from_json_row_count_checked_before_rows():
+    # two-entry rows are permutations of 0..1, so only the count is wrong
+    with pytest.raises(InvalidSolutionError, match='^"n" is 2 but the sigma table has 3 rows$'):
+        Solution.from_json({"n": 2, "sigma": [[0, 1], [1, 0], [0, 1]]})
 
 
 @pytest.mark.parametrize("n", [True, 1.0, "1"])
@@ -186,17 +192,24 @@ def test_validate_matches_loop_reference_across_slabs(fixed):
         lambda n: 1,  # one x per slab
         lambda n: n * n - 1,  # below one x's n^2 triples: still one x per slab
         lambda n: 2 * n * n + 1,  # two x per slab, the last slab short at odd n
-        lambda n: 1 << 16,  # the default: one slab for n <= 5
+        lambda n: solutions._SLAB_TRIPLES,  # the shipped value: one slab for n <= 5
     ],
-    ids=["1", "n^2-1", "2n^2+1", "2^16"],
+    ids=["1", "n^2-1", "2n^2+1", "default"],
 )
 def test_validate_matches_loop_reference_at_slab_bounds(records_up_to_5, monkeypatch, slab):
+    differing = set()  # braid components that differ at each lex-first failing triple
     for n, records in records_up_to_5.items():
         monkeypatch.setattr(solutions, "_SLAB_TRIPLES", slab(n))
         for rec in records:
             for sigma in _row_swaps(rec.sigma):
                 s = Solution(n, sigma)
-                assert validate(s) == loop_validate(s), sigma
+                report = validate(s)
+                assert report == loop_validate(s), sigma
+                if report.braid_counterexample:
+                    lhs, rhs = braid_sides(pair_map(s), *report.braid_counterexample)
+                    differing.add(tuple(i for i in range(3) if lhs[i] != rhs[i]))
+    # the packed comparison catches a failure in each component on its own
+    assert {(0,), (1,), (2,)} <= differing
 
 
 def test_validate_involutive_for_every_table_of_rows():
