@@ -28,16 +28,16 @@ Two independent routes exist:
   3. canonicity: one vectorized comparator relabels rows 1..d-1 under all
      aligners of an anchor at once (relabelings taking the anchor to 0 and its
      row onto the root row). The aligners that keep {0..d-1} and their flat
-     gather indices are prepared once per (row, root, anchor, d) and dropped
-     when the search moves to the next root. At d = n it decides if a table
-     is orbit-least; below, it prunes.
+     gather indices are prepared once per (row, anchor, d) in the search of
+     one root, and die with it. At d = n it decides if a table is
+     orbit-least; below, it prunes.
 
   Canonical leaves are re-validated with the brute-force checker before
   being emitted, so search-level shortcuts cannot admit a non-solution.
 
 Search order is deterministic and the result is a pure function of n:
-worker partitioning happens at the first branching level and results are
-merged as sorted sets of canonical tables.
+one unit per root row, pulled by idle workers, and results are merged as
+sorted sets of canonical tables.
 """
 from __future__ import annotations
 
@@ -123,19 +123,19 @@ _SEARCH_CACHE: dict[int, _Enumeration] = {}
 
 
 class _Search:
-    """Row-by-row backtracking over sigma tables of one degree."""
+    """Row-by-row backtracking over the sigma tables of one degree whose row 0 is `root`."""
 
-    def __init__(self, n: int, deadline: float | None = None):
+    def __init__(self, n: int, root: int, deadline: float | None = None):
         self.tab = symtab.get_tables(n)
         self.tab.ensure_comp()
         self.n = n
+        self.root = root
         self.arange_n = np.arange(n, dtype=np.intp)
         self.np_perms_flat = self.tab.np_perms.ravel()
-        self._gather_cache: dict[tuple[int, int, int], list] = {}
+        self._gather_cache: dict[tuple[int, int], list] = {}
         self.deadline = deadline
         self.stats = SearchStats()
         self.results: list[tuple[Perm, ...]] = []
-        self.root = -1
 
     # -- constraint propagation -------------------------------------------
 
@@ -218,10 +218,11 @@ class _Search:
         perms[root] and f({0..d-1}) = {0..d-1} as the rows of F, with the flat
         gather indices of the relabeled rows 1..d-1 (None if no f is kept).
         """
-        key = (src, self.root, x0)
+        key = (src, x0)
         if key not in self._gather_cache:
             n = self.n
-            every = np.array(list(self.tab.aligners(*key)), dtype=np.intp).reshape(-1, n)
+            every = np.array(list(self.tab.aligners(src, self.root, x0)), dtype=np.intp)
+            every = every.reshape(-1, n)
             per_d = [None] * (n + 1)
             for d in range(max(2, x0 + 1), n + 1):
                 F = every[(every[:, :d] < d).all(axis=1)]
@@ -341,26 +342,28 @@ class _Search:
             if self._know(rows2, gmask2, k, c):
                 self._dfs(rows2, gmask2)
 
-    def run(self, roots) -> list[tuple[Perm, ...]]:
-        for c in roots:
-            self.root = c
-            self._gather_cache.clear()  # every key holds the root
-            rows: list[int | None] = [None] * self.n
-            gmask = [0] * self.n
-            if self._know(rows, gmask, 0, c):
-                self._dfs(rows, gmask)
+    def run(self) -> list[tuple[Perm, ...]]:
+        rows: list[int | None] = [None] * self.n
+        gmask = [0] * self.n
+        if self._know(rows, gmask, 0, self.root):
+            self._dfs(rows, gmask)
         return self.results
 
 
-def _search_worker(args) -> tuple[list[tuple[Perm, ...]], dict]:
-    n, roots, deadline = args
-    search = _Search(n, deadline)
-    tables = search.run(roots)
-    return tables, search.stats.__dict__
+def _search_root(unit) -> tuple[list[tuple[Perm, ...]], SearchStats]:
+    """One unit of search work: every canonical table with row 0 = perms[root]."""
+    search = _Search(*unit)
+    return search.run(), search.stats
 
 
 def canonical_root_rows(n: int) -> list[int]:
-    """Perm indices that are lex-least conjugates pinning their anchor to 0."""
+    """
+    Perm indices that are lex-least conjugates pinning their anchor to 0:
+    the candidates for row 0, one search unit each.
+
+    >>> [len(canonical_root_rows(n)) for n in range(1, 9)]
+    [1, 2, 4, 7, 12, 19, 30, 45]
+    """
     mc0 = symtab.get_tables(n).mc_np[:, 0]
     return np.flatnonzero(mc0 == np.arange(len(mc0))).tolist()
 
@@ -377,12 +380,16 @@ def enumerate_canonical_tables(
     All canonical sigma tables of valid solutions of size n, sorted.
 
     Exhaustive for n <= 7 by default; n = 8 requires allow_large (an
-    extended, multi-hour run); larger n is refused outright. A time budget,
-    if given, must be > 0 seconds. The counters of the search are merged
-    into stats, also when the tables come from the cache.
+    extended, multi-hour run); larger n is refused outright. The search
+    runs one unit per root row: in this process if threads is 1, else in a
+    pool of that many workers that each take the next unit when idle. A
+    time budget, if given, must be > 0 seconds. The counters of the search
+    are merged into stats, also when the tables come from the cache.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if time_budget_secs is not None and not time_budget_secs > 0:  # NaN fails too
         raise ValueError("time budget must be > 0")
     if n > symtab.MAX_DEGREE:
@@ -403,24 +410,18 @@ def enumerate_canonical_tables(
 
 
 def _run_search(n: int, threads: int, time_budget_secs: float | None) -> _Enumeration:
-    tab = symtab.get_tables(n)
-    tab.ensure_comp()
-    roots = canonical_root_rows(n)
+    symtab.get_tables(n).ensure_comp()  # before any fork: workers share it copy-on-write
     deadline = None if time_budget_secs is None else time.monotonic() + time_budget_secs
-
-    if threads <= 1 or len(roots) <= 1:
-        search = _Search(n, deadline)
-        tables, stats = search.run(roots), search.stats
+    units = [(n, root, deadline) for root in canonical_root_rows(n)]
+    if threads == 1:
+        parts = list(map(_search_root, units))
     else:
-        chunks = [roots[i::threads] for i in range(threads)]
-        chunks = [c for c in chunks if c]
-        ctx = get_context("fork")
-        with ctx.Pool(len(chunks)) as pool:
-            parts = pool.map(_search_worker, [(n, c, deadline) for c in chunks])
-        tables, stats = [], SearchStats()
-        for part, stat in parts:
-            tables.extend(part)
-            stats.merge(SearchStats(**stat))
+        with get_context("fork").Pool(min(threads, len(units))) as pool:
+            parts = pool.map(_search_root, units, chunksize=1)
+    tables, stats = [], SearchStats()
+    for part, stat in parts:
+        tables.extend(part)
+        stats.merge(stat)
     return _Enumeration(tuple(sorted(tables)), stats)
 
 

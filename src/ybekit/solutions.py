@@ -302,25 +302,18 @@ def retract(s: Solution) -> Solution:
     input (the group action permutes classes).
     """
     part = sigma_class_blocks(s)
+    if not part.generator_invariant:
+        raise AssertionError(
+            "sigma-class quotient is not well defined; "
+            "input was not a validated solution"
+        )
     classes = part.classes
     index = {}
     for i, c in enumerate(classes):
         for x in c:
             index[x] = i
-    m = len(classes)
-    rows = []
-    for c in classes:
-        row = [index[s.sigma[c[0]][d[0]]] for d in classes]
-        for x in c:
-            for j, d in enumerate(classes):
-                for y in d:
-                    if index[s.sigma[x][y]] != row[j]:
-                        raise AssertionError(
-                            "sigma-class quotient is not well defined; "
-                            "input was not a validated solution"
-                        )
-        rows.append(tuple(row))
-    return Solution(m, tuple(rows))
+    rows = [tuple([index[s.sigma[c[0]][d[0]]] for d in classes]) for c in classes]
+    return Solution(len(classes), tuple(rows))
 
 
 def multipermutation_level(s: Solution) -> int | None:

@@ -13,6 +13,7 @@ processes inherit them copy-on-write).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
 from typing import Iterator
@@ -23,8 +24,6 @@ from .errors import BudgetExceededError
 from .perms import Perm
 
 MAX_DEGREE = 8
-
-_CACHE: dict[int, "SymTables"] = {}
 
 
 def conjugate(f: Perm, p: Perm) -> Perm:
@@ -157,9 +156,7 @@ class SymTables:
             yield self.perms[i]
 
 
+@functools.cache
 def get_tables(n: int) -> SymTables:
-    tab = _CACHE.get(n)
-    if tab is None:
-        tab = SymTables(n)
-        _CACHE[n] = tab
-    return tab
+    """The shared tables of degree n, built on first use."""
+    return SymTables(n)

@@ -85,23 +85,42 @@ def test_enumerate_guards():
             enumerate_canonical_tables(3, time_budget_secs=budget, use_cache=False)
 
 
+def test_threads_must_be_positive():
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            enumerate_canonical_tables(4, threads=threads, use_cache=False)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            fast_enumerate(4, threads=threads)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            classify_primitive(3, threads=threads)
+
+
 def test_time_budget_is_explicit_error():
-    with pytest.raises(BudgetExceededError):
-        enumerate_canonical_tables(6, time_budget_secs=1e-9, use_cache=False)
+    # with 2 threads the error is raised in a worker and must reach the caller
+    for threads in (1, 2):
+        with pytest.raises(BudgetExceededError):
+            enumerate_canonical_tables(
+                6, threads=threads, time_budget_secs=1e-9, use_cache=False
+            )
 
 
 def test_deadline_checked_at_every_node():
-    search = _Search(6, deadline=time.monotonic() - 1.0)
+    search = _Search(6, canonical_root_rows(6)[0], deadline=time.monotonic() - 1.0)
     with pytest.raises(BudgetExceededError):
-        search.run(canonical_root_rows(6))
+        search.run()
     assert search.stats.nodes == 1
 
 
 def test_determinism_across_threads():
-    one = enumerate_canonical_tables(4, threads=1, use_cache=False)
-    two = enumerate_canonical_tables(4, threads=2, use_cache=False)
-    three = enumerate_canonical_tables(4, threads=3, use_cache=False)
-    assert one == two == three
+    for n in (4, 6):
+        runs = []
+        for threads in (1, 2, 3):
+            stats = SearchStats()
+            runs.append(
+                enumerate_canonical_tables(n, threads=threads, use_cache=False, stats=stats)
+            )
+            assert stats == EXPECTED_STATS[n]
+        assert runs[0] == runs[1] == runs[2]
 
 
 def test_all_tables_are_canonical_and_valid():
@@ -148,11 +167,11 @@ def test_stats_reported_on_cache_hit():
 def test_n8_search_on_a_3_cycle_root():
     # the only tier-1 run of the n = 8 path: composition through the dict,
     # no composition table, so the candidate mask skips the forced-row checks
-    search = _Search(8)
-    assert search.tab.comp_np is None
-    root = search.tab.pidx[(1, 2, 0, 3, 4, 5, 6, 7)]
+    root = get_tables(8).pidx[(1, 2, 0, 3, 4, 5, 6, 7)]
     assert root == 5760
-    tables = search.run([root])
+    search = _Search(8, root)
+    assert search.tab.comp_np is None
+    tables = search.run()
     assert search.stats == SearchStats(
         nodes=748, leaves=3, accepted=3, invalid_leaves=0, noncanonical_leaves=0
     )
@@ -160,6 +179,17 @@ def test_n8_search_on_a_3_cycle_root():
         s = Solution(8, table)
         assert validate(s).passed
         assert canonical_form(s).sigma == table
+
+
+def _search_every_root(cls, n):
+    """Run a `_Search` class on every root row of degree n; the summed stats and the searches."""
+    stats, searches = SearchStats(), []
+    for root in canonical_root_rows(n):
+        search = cls(n, root)
+        search.run()
+        stats.merge(search.stats)
+        searches.append(search)
+    return stats, searches
 
 
 class _CheckedMaskSearch(_Search):
@@ -179,11 +209,10 @@ def test_candidate_mask_drops_only_what_know_rejects():
     # the mask is a vectorized shortcut of the cascade, one step deep; a
     # candidate it drops that _know would keep is a lost solution
     for n in (3, 4, 5):
-        search = _CheckedMaskSearch(n)
-        search.run(canonical_root_rows(n))
-        assert search.rejected > 0
+        stats, searches = _search_every_root(_CheckedMaskSearch, n)
+        assert sum(search.rejected for search in searches) > 0
         if n in EXPECTED_STATS:
-            assert search.stats == EXPECTED_STATS[n]
+            assert stats == EXPECTED_STATS[n]
 
 
 class _DenseMaskSearch(_Search):
@@ -202,19 +231,18 @@ class _DenseMaskSearch(_Search):
 def test_candidate_mask_matches_dense_reference():
     calls = {}
     for n in range(1, 7):
-        search = _DenseMaskSearch(n)
-        search.run(canonical_root_rows(n))
-        calls[n] = search.calls
+        stats, searches = _search_every_root(_DenseMaskSearch, n)
+        calls[n] = sum(search.calls for search in searches)
         if n in EXPECTED_STATS:
-            assert search.stats == EXPECTED_STATS[n]
+            assert stats == EXPECTED_STATS[n]
     assert calls[6] == 896
 
 
 class _BrutePrefixSearch(_Search):
     """A search that checks every canonicity verdict against a sweep over Sym(n)."""
 
-    def __init__(self, n):
-        super().__init__(n)
+    def __init__(self, n, root):
+        super().__init__(n, root)
         self.verdicts = set()
 
     def _canonical(self, rows, d):
@@ -229,12 +257,12 @@ def test_prefix_canonicity_matches_brute_force():
     # every _canonical call of the searches: each _dfs prefix with k >= 2,
     # where d = k < n, and each leaf, where d = n
     for n in range(1, 6):
-        search = _BrutePrefixSearch(n)
-        search.run(canonical_root_rows(n))
+        stats, searches = _search_every_root(_BrutePrefixSearch, n)
         if n in EXPECTED_STATS:
-            assert search.stats == EXPECTED_STATS[n]
+            assert stats == EXPECTED_STATS[n]
         if n >= 4:
-            assert search.verdicts == {(True, True), (True, False), (False, True), (False, False)}
+            verdicts = set().union(*(search.verdicts for search in searches))
+            assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _disjoint_union(a, b):
@@ -283,24 +311,24 @@ def test_leaf_comparator_matches_min_relabeled():
     and mc[rows[x]][x] >= root for every x.
     """
     cases = _leaf_comparator_cases()
-    searches = {n: _Search(n) for n in (1, 2, 3, 4, 5, 8)}
-    verdicts = {n: set() for n in searches}
+    searches = {}  # one per (n, root)
+    verdicts = {n: set() for n in (1, 2, 3, 4, 5, 8)}
     for table in cases:
-        search = searches[len(table)]
-        tab = search.tab
+        n = len(table)
+        tab = get_tables(n)
         rows = [tab.pidx[row] for row in table]
-        search.root = rows[0]
-        if any(tab.mc[r][x] < search.root for x, r in enumerate(rows)):
+        if any(tab.mc[r][x] < rows[0] for x, r in enumerate(rows)):
             continue
+        search = searches.setdefault((n, rows[0]), _Search(n, rows[0]))
         canonical = tab.min_relabeled(table) == table
-        assert search._canonical(rows, len(table)) == canonical, table
-        verdicts[len(table)].add(canonical)
+        assert search._canonical(rows, n) == canonical, table
+        verdicts[n].add(canonical)
     assert verdicts[8] == {True, False}
     assert set().union(*verdicts.values()) == {True, False}
 
-    for n, search in searches.items():
+    for (n, root), search in searches.items():
         assert search._gather_cache or n == 1  # a one-row table is never compared
-        for (src, root, x0), per_d in search._gather_cache.items():
+        for (src, x0), per_d in search._gather_cache.items():
             every = list(search.tab.aligners(src, root, x0))
             for d, gathers in enumerate(per_d):
                 kept = {f for f in every if all(f[i] < d for i in range(d))}

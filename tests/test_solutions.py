@@ -279,6 +279,14 @@ def test_retract_validates():
     assert r.n == 2
 
 
+def test_retract_refuses_classes_that_rows_split():
+    # row (2 1 0) maps the class {0, 1} onto {1, 2}, which is no class
+    s = Solution(3, ((0, 1, 2), (0, 1, 2), (2, 1, 0)))
+    assert not sigma_class_blocks(s).generator_invariant
+    with pytest.raises(AssertionError, match="not well defined"):
+        retract(s)
+
+
 def test_multipermutation_level():
     assert multipermutation_level(Solution.trivial(1)) == 0
     assert multipermutation_level(Solution.permutation_solution((1, 0))) == 1

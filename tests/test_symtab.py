@@ -26,6 +26,15 @@ def test_degree_cap():
         SymTables(9)
 
 
+def test_get_tables_caches_valid_degrees_only():
+    assert get_tables(4) is get_tables(4)
+    cached = get_tables.cache_info().currsize
+    for n in (0, 9):
+        with pytest.raises(BudgetExceededError):
+            get_tables(n)
+    assert get_tables.cache_info().currsize == cached
+
+
 def test_compose_idx_matches_tuples():
     tab = get_tables(4)
     tab.ensure_comp()

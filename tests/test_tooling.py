@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import ybekit
-from ybekit import permgroup, perms, solutions, symtab
+from ybekit import enumeration, permgroup, perms, solutions, symtab
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -23,6 +23,11 @@ def test_permgroup_doctests_pass():
 def test_symtab_doctests_pass():
     result = doctest.testmod(symtab)
     assert result.failed == 0 and result.attempted >= 4
+
+
+def test_enumeration_doctests_pass():
+    result = doctest.testmod(enumeration)
+    assert result.failed == 0 and result.attempted >= 1
 
 
 def test_solutions_doctests_pass():
