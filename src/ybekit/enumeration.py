@@ -18,10 +18,10 @@ Two independent routes exist:
      sigma_u^{-1} sigma_x sigma_y. Each new row completes the triples where
      it is x, u or y, so rows are forced long before they are branched on;
      partial gamma values are tracked per column and any collision (a
-     non-degeneracy violation) kills the branch. A vectorized filter checks
-     the same triples one step deep for the candidate values of the next
-     row, each test on the candidates that passed the ones before it. Both
-     conditions are necessary, so no solution is ever pruned.
+     non-degeneracy violation) kills the branch. A filter checks the same
+     triples one step deep for the candidate values of the next row, with
+     bitsets over permutation indices: a few big-int operations for each
+     class {c : c(y) = u}. Both are necessary, so no solution is pruned.
   2. ordered-invariant bound: in a lex-minimal table, relabeling any point
      v to 0 cannot produce a first row lex-smaller than row 0; each known
      row is checked against a precomputed minimal-conjugate table.
@@ -133,6 +133,11 @@ class _Search:
         self.arange_n = np.arange(n, dtype=np.intp)
         self.np_perms_flat = self.tab.np_perms.ravel()
         self._gather_cache: dict[tuple[int, int], list] = {}
+        # the candidate filter's mc bound, and the sets it asks for in this search
+        self._bound_np = self.tab.mc_np >= root
+        self._mc_bits = [symtab.bits(col) for col in self._bound_np.T]
+        self._conj = functools.cache(self.tab.conjugators)
+        self._roots = functools.cache(self.tab.square_roots)
         self.deadline = deadline
         self.stats = SearchStats()
         self.results: list[tuple[Perm, ...]] = []
@@ -273,54 +278,94 @@ class _Search:
 
     def _candidate_mask(self, rows, gmask, k) -> np.ndarray:
         """
-        Vectorized necessary conditions on candidate values for row k: the
-        triples of `_know` that row k completes, one step deep. Each test runs
-        only on the candidates c that passed the tests before it. Every
-        rejected candidate would also be rejected by the exact cascade, so
-        this only trims the loop, never the result set.
+        Necessary conditions on candidate values c for row k, as a bitset over
+        c: the triples of `_know` that row k completes, one step deep. On a
+        class {c : c(y) = u} of `SymTables.sends` a triple's gamma entry v is
+        fixed, and its test keeps or drops the class; the row rv it forces
+        (rows named by their points) restricts c by what row v is, through
+        `SymTables.conjugators` ("conj."), `SymTables.square_roots` ("c c =")
+        and `_bound` (n <= 7). A dropped c would fail the exact cascade too.
+
+        triple           rv          v = k      row v = a    row v unknown
+        k is x, y = k    u^-1 c c    c = u      c c = u a    bound of c c
+        k is x, y != k   u^-1 c y    conj.      one c        bound of c
+        k is u, y = k    c^-1 x c    c = x      conj.        met: mc[x][x]
+        k is u, y != k   c^-1 x y    c c = x y  one c        bound of c
+        k is y           u^-1 x c    all, none  one c        bound of c
         """
-        n, tab, root = self.n, self.tab, self.root
-        P, IV, C, invi_np, mc_np = tab.np_perms, tab.np_inv, tab.comp_np, tab.invi_np, tab.mc_np
-        c = np.flatnonzero(mc_np[:, k] >= root)
-        rows_arr = np.array([-1 if r is None else r for r in rows], dtype=np.intp)
-
-        def forced_ok(v, rv):
-            # forced row v (one per candidate, or one for all) may take value rv
-            va = np.where(v == k, -2, rows_arr[v])
-            unknown_ok = mc_np[rv, v] >= root
-            return np.where(va == -2, rv == c, np.where(va >= 0, va == rv, unknown_ok))
-
-        # per triple, the gamma entry v first, then the row forced at v once
-        # row y is known; a row given as c is the candidate itself
-        for y in range(n):  # k is x
-            ucol = P[c, y]
-            ru = np.where(ucol == k, c, rows_arr[ucol])
-            known = ru >= 0
-            if not known.any():
-                continue
-            v = IV[ru, k]
-            ok = ~known | (((gmask[y] >> v) & 1) == 0)
-            ry = c if y == k else rows[y]
-            if C is not None and ry is not None:
-                ok &= ~known | forced_ok(v, C[invi_np[ru], C[c, ry]])
-            c = c[ok]
+        n, tab = self.n, self.tab
+        perms, iperms, invi, sends = tab.perms, tab.iperms, tab.invi, tab.sends
+        compose = tab.compose_idx
+        ok = self._mc_bits[k]
+        for y in range(n):  # k is x; on the class c(y) = u, row u and v are fixed
+            ry, keep = rows[y], 0
+            for u in range(n):
+                cls, ru = sends[y][u], rows[u]
+                if u == k:  # row u is c, so v = y, whose forced row is row y itself
+                    keep |= 0 if gmask[y] >> y & 1 else cls
+                elif ru is None:
+                    keep |= cls
+                elif not gmask[y] >> iperms[ru][k] & 1:
+                    v = iperms[ru][k]
+                    if y == k:
+                        if v == k:
+                            cls &= 1 << ru
+                        elif rows[v] is not None:
+                            cls &= self._roots(compose(ru, rows[v]))
+                        else:
+                            cls &= self._bound(v, invi[ru], True)
+                    elif ry is not None:
+                        if v == k:
+                            cls &= self._conj(ry, ru)
+                        elif rows[v] is not None:
+                            cls &= 1 << compose(compose(ru, rows[v]), invi[ry])
+                        else:  # mc[u^-1 c y][v] = mc[y u^-1 c][y(v)]
+                            cls &= self._bound(perms[ry][v], compose(ry, invi[ru]))
+                    keep |= cls
+            ok &= keep
         for x in range(n):
             rx = rows[x]
-            if rx is None or x == k:
+            if rx is None:
                 continue
-            y = tab.iperms[rx][k]  # k is u
-            v = IV[c, x]
-            ok = ((gmask[y] >> v) & 1) == 0
-            if C is not None:
-                ry = c if y == k else rows[y]
-                if ry is not None:
-                    ok &= forced_ok(v, C[invi_np[c], C[rx, ry]])
-                u = tab.perms[rx][k]  # k is y; its gamma entry is known without row k
-                ru = rows[u]
-                if ru is not None and u != k:  # u == k was taken as y == k above
-                    ok &= forced_ok(IV[ru, x], C[invi_np[ru], C[rx, c]])
-            c = c[ok]
-        return np.bincount(c, minlength=tab.m).astype(bool)
+            y, u = iperms[rx][k], perms[rx][k]  # k is u, then k is y
+            ru, ry = rows[u], rows[y]
+            if ru is not None:  # so u != k; u == k is y == k below
+                v, w = iperms[ru][x], compose(invi[ru], rx)
+                if v == k:  # row k forced to u^-1 x c: c for every c, or for none
+                    ok &= 0 if w else -1
+                elif rows[v] is not None:
+                    ok &= 1 << compose(invi[w], rows[v])
+                else:
+                    ok &= self._bound(v, w)
+            keep = 0
+            for v in range(n):  # on the class c(v) = x
+                if gmask[y] >> v & 1:
+                    continue
+                cls, rv = sends[v][x], rows[v]
+                if y == k:
+                    if v == k:
+                        cls &= 1 << rx
+                    elif rv is not None:
+                        cls &= self._conj(rv, rx)
+                elif ry is not None:
+                    w = compose(rx, ry)
+                    if v == k:
+                        cls &= self._roots(w)
+                    elif rv is not None:
+                        cls &= 1 << compose(w, invi[rv])
+                    else:  # mc[c^-1 w][v] = mc[w^-1 c][v]
+                        cls &= self._bound(v, invi[w])
+                keep |= cls
+            ok &= keep
+        raw = np.frombuffer(ok.to_bytes(-(-tab.m // 8), "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=tab.m, bitorder="little").view(bool)
+
+    def _bound(self, v: int, w: int, squared: bool = False) -> int:
+        """{c : mc[w c][v] >= root}, with c c for c if squared; every c at n = 8."""
+        C = self.tab.comp_np
+        if C is None:
+            return -1
+        return symtab.bits(self._bound_np[C[w, C.diagonal()] if squared else C[w], v])
 
     def _dfs(self, rows, gmask) -> None:
         self.stats.nodes += 1

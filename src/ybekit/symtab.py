@@ -2,20 +2,21 @@
 Cached per-degree tables over the full symmetric group Sym(n), n <= 8.
 
 These back the relabeling machinery: canonical forms of sigma tables, the
-minimal-conjugate bound used for symmetry breaking during enumeration, and
-index-based composition for the search core. `SymTables` is the only place
+minimal-conjugate bound of the search's symmetry breaking, and index-based
+composition and candidate sets for its core. `SymTables` is the only place
 a Sym(n) lookup is built, each with array operations over the lex-ordered
 permutations: inverse indices, the minimal-conjugate table from cycle
-lengths, and (degrees <= 7) the composition table, one buffer that the
-search reads through its (m, m) view `comp_np`. Tables are built once per
-degree and shared (they are read-only after construction, so forked worker
-processes inherit them copy-on-write).
+lengths, (degrees <= 7) the composition table, one buffer read through its
+(m, m) view `comp_np`, and, on first use, the bitsets {c : c(y) = u} and the
+square roots, kept sparse. Tables are built once per degree and shared
+(read-only once built, so forked workers inherit them copy-on-write).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from array import array
+from operator import itemgetter, or_
 from typing import Iterator
 
 import numpy as np
@@ -112,8 +113,36 @@ class SymTables:
         """Index of perms[i] o perms[j] (q applied first is perms[j])."""
         if self._comp is not None:
             return self._comp[i * self.m + j]
-        p, q = self.perms[i], self.perms[j]
-        return self.pidx[tuple(p[x] for x in q)]
+        # the dict path is n = 8 only, where itemgetter of n items returns a tuple
+        return self.pidx[itemgetter(*self.perms[j])(self.perms[i])]
+
+    # -- bitsets over indices: bit c of an int stands for perms[c] ---------
+
+    @functools.cached_property
+    def sends(self) -> list[list[int]]:
+        """sends[y][u]: the bitset of {c : perms[c](y) = u}."""
+        return [[bits(col == u) for u in range(self.n)] for col in self.np_perms.T]
+
+    @functools.cached_property
+    def _roots(self) -> tuple[np.ndarray, np.ndarray]:
+        # the c sorted by the index of c o c; the roots of p are order[start[p]:start[p + 1]]
+        P, lex = self.np_perms, self._radix[::-1]
+        sq = np.searchsorted(P @ lex, np.take_along_axis(P, P, axis=1) @ lex)
+        order = np.argsort(sq, kind="stable").astype(np.int32)
+        return order, np.searchsorted(sq[order], np.arange(self.m + 1)).astype(np.int32)
+
+    def square_roots(self, p: int) -> int:
+        """The bitset of {c : perms[c] o perms[c] = perms[p]}."""
+        order, start = self._roots
+        return sum(1 << c for c in order[start[p] : start[p + 1]].tolist())
+
+    def conjugators(self, src: int, tgt: int) -> int:
+        """The bitset of {c : c b c^-1 = a}, b = perms[src], a = perms[tgt]: c(b(x)) = a(c(x))."""
+        b, a, sends = self.perms[src], self.perms[tgt], self.sends
+        out = -1
+        for x in range(self.n):
+            out &= functools.reduce(or_, [sends[x][w] & sends[b[x]][aw] for w, aw in enumerate(a)])
+        return out
 
     # -- canonical relabeling ---------------------------------------------
 
@@ -154,6 +183,11 @@ class SymTables:
         conj = P[f[:, None], P[src][self.np_inv[f]]]  # conj[k, y] = f(p(f^-1(y)))
         for i in f[(conj == P[tgt]).all(axis=1)]:
             yield self.perms[i]
+
+
+def bits(mask: np.ndarray) -> int:
+    """The bitset of a boolean array: bit i is mask[i]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 @functools.cache

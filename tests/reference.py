@@ -13,8 +13,9 @@ references; the tests require equal results.
 * `lexsort_min_relabeled`: every relabeled table built in full and sorted.
 * `loop_mc`: the minimal-conjugate table from the cycles of every
   permutation, one at a time.
-* `dense_candidate_mask`: the search's candidate filter with every test run
-  on all m candidates, not only on those that passed the tests before it.
+* `dense_candidate_mask`: the search's candidate filter as numpy gathers,
+  every test run on all m candidates, not on bitsets of classes of them.
+  It has no forced-row test at n = 8, where there is no composition table.
 * `brute_prefix_canonical`: prefix canonicity by trying every relabeling
   in Sym(n), one at a time, instead of the aligners of each anchor.
 * `exhaustive_verify_construction`: the construction checks, in their

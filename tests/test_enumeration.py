@@ -164,17 +164,30 @@ def test_stats_reported_on_cache_hit():
         assert stats == EXPECTED_STATS[4]
 
 
+class _CountingSearch(_Search):
+    """A search that counts its `_know` trials."""
+
+    trials = 0
+
+    def _know(self, rows, gmask, r0, c0):
+        self.trials += 1
+        return super()._know(rows, gmask, r0, c0)
+
+
 def test_n8_search_on_a_3_cycle_root():
-    # the only tier-1 run of the n = 8 path: composition through the dict,
-    # no composition table, so the candidate mask skips the forced-row checks
+    # the only full tier-1 run of the n = 8 path: composition through the
+    # dict, no composition table; the candidate mask makes every forced-row
+    # test there but the mc bound of an unknown forced row, so the search
+    # makes 22751 `_know` trials, where a mask without them made 221817
     root = get_tables(8).pidx[(1, 2, 0, 3, 4, 5, 6, 7)]
     assert root == 5760
-    search = _Search(8, root)
+    search = _CountingSearch(8, root)
     assert search.tab.comp_np is None
     tables = search.run()
     assert search.stats == SearchStats(
         nodes=748, leaves=3, accepted=3, invalid_leaves=0, noncanonical_leaves=0
     )
+    assert search.trials <= 30_000
     for table in tables:
         s = Solution(8, table)
         assert validate(s).passed
@@ -213,6 +226,28 @@ def test_candidate_mask_drops_only_what_know_rejects():
         assert sum(search.rejected for search in searches) > 0
         if n in EXPECTED_STATS:
             assert stats == EXPECTED_STATS[n]
+
+
+class _FirstNodesCheckedSearch(_CheckedMaskSearch):
+    """The check of `_CheckedMaskSearch` at the first `nodes_left` masks only."""
+
+    nodes_left = 3
+
+    def _candidate_mask(self, rows, gmask, k):
+        if not self.nodes_left:
+            return _Search._candidate_mask(self, rows, gmask, k)
+        self.nodes_left -= 1
+        return super()._candidate_mask(rows, gmask, k)
+
+
+def test_n8_candidate_mask_drops_only_what_know_rejects():
+    # the dense reference has no forced-row tests at n = 8, so the mask is
+    # checked against the cascade there, at the first internal nodes of the
+    # 3-cycle root, each with its 40320 candidates
+    search = _FirstNodesCheckedSearch(8, 5760)
+    search.run()
+    assert search.nodes_left == 0 and search.rejected > 3 * 30_000
+    assert search.stats.accepted == 3
 
 
 class _DenseMaskSearch(_Search):

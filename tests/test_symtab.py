@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -173,3 +175,45 @@ def test_min_relabeled_matches_brute_force():
     ):
         expected = min(relabel(table, f) for f in fs)
         assert tab.min_relabeled(table) == expected
+
+
+def _bitset(indices):
+    return sum(1 << c for c in set(indices))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bitset_tables_match_their_definitions(n):
+    tab = SymTables(n)
+    perms = tab.perms
+    for y, u in itertools.product(range(n), repeat=2):
+        assert tab.sends[y][u] == _bitset(c for c, p in enumerate(perms) if p[y] == u)
+    squares = [tab.pidx[compose(p, p)] for p in perms]
+    conj = {}
+    for c, f in enumerate(perms):
+        for src, p in enumerate(perms):
+            conj.setdefault((src, tab.pidx[conjugate(f, p)]), set()).add(c)
+    for p in range(tab.m):
+        assert tab.square_roots(p) == _bitset(c for c in range(tab.m) if squares[c] == p)
+        for src in range(tab.m):
+            assert tab.conjugators(src, p) == _bitset(conj.get((src, p), ()))
+
+
+def test_bitset_tables_at_n8_are_small_and_quick():
+    # built on first use, not with the set-up; square roots held as one
+    # bitset per permutation would take tens of MB
+    tab = SymTables(8)
+    tab.ensure_comp()
+    assert "sends" not in vars(tab) and "_roots" not in vars(tab)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        sends, involutions = tab.sends, tab.square_roots(0)
+        built = time.perf_counter() - start
+        del involutions
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20
+    assert built < 0.5
+    assert sends[0][0].bit_count() == math.factorial(7)
+    assert tab.square_roots(0).bit_count() == 764  # the identity and the involutions
