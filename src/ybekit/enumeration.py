@@ -357,8 +357,7 @@ class _Search:
                         cls &= self._bound(v, invi[w])
                 keep |= cls
             ok &= keep
-        raw = np.frombuffer(ok.to_bytes(-(-tab.m // 8), "little"), dtype=np.uint8)
-        return np.unpackbits(raw, count=tab.m, bitorder="little").view(bool)
+        return symtab.unbits(ok, tab.m)
 
     def _bound(self, v: int, w: int, squared: bool = False) -> int:
         """{c : mc[w c][v] >= root}, with c c for c if squared; every c at n = 8."""
@@ -529,7 +528,8 @@ def analyze(s: Solution, brace_cap: int = DEFAULT_BRACE_CAP) -> CatalogRecord:
 
     The flags and the brace share one permutation group, expanded once;
     `brace_cap` bounds its order during that expansion, and a larger group
-    raises BudgetExceededError.
+    raises BudgetExceededError. The record's sigma is the canonical form of
+    s, except for n > symtab.MAX_DEGREE, where it is s.sigma as given.
     """
     report = validate(s)
     if not report.passed:

@@ -6,10 +6,11 @@ minimal-conjugate bound of the search's symmetry breaking, and index-based
 composition and candidate sets for its core. `SymTables` is the only place
 a Sym(n) lookup is built, each with array operations over the lex-ordered
 permutations: inverse indices, the minimal-conjugate table from cycle
-lengths, (degrees <= 7) the composition table, one buffer read through its
-(m, m) view `comp_np`, and, on first use, the bitsets {c : c(y) = u} and the
-square roots, kept sparse. Tables are built once per degree and shared
-(read-only once built, so forked workers inherit them copy-on-write).
+lengths and, on first use, the composition table (degrees <= 7; one buffer
+read through its (m, m) view `comp_np`) and the bitsets {c : c(y) = u}, from
+which one rule gives the conjugators, square roots and aligners. Tables are
+built once per degree and shared (read-only once built, so forked workers
+inherit them copy-on-write).
 """
 from __future__ import annotations
 
@@ -25,14 +26,6 @@ from .errors import BudgetExceededError
 from .perms import Perm
 
 MAX_DEGREE = 8
-
-
-def conjugate(f: Perm, p: Perm) -> Perm:
-    """f p f^{-1} in image-list form: the relabeling of p along f."""
-    out = [0] * len(p)
-    for i, pi in enumerate(p):
-        out[f[i]] = f[pi]
-    return tuple(out)
 
 
 class SymTables:
@@ -67,7 +60,6 @@ class SymTables:
         rank = np.empty(self.m, dtype=np.int32)
         rank[np.lexsort(self.np_inv.T[::-1])] = np.arange(self.m, dtype=np.int32)
         self.invi = array("i", rank.tobytes())
-        self.invi_np = np.frombuffer(self.invi, dtype=np.int32)
 
         # mc[c][a]: index of the lex-least conjugate of perms[c] under
         # relabelings sending point a to 0. Equals the lex-least perm with
@@ -113,6 +105,9 @@ class SymTables:
         """Index of perms[i] o perms[j] (q applied first is perms[j])."""
         if self._comp is not None:
             return self._comp[i * self.m + j]
+        if self.n <= 7:  # the table is the only path at n <= 7, built on first use
+            self.ensure_comp()
+            return self._comp[i * self.m + j]
         # the dict path is n = 8 only, where itemgetter of n items returns a tuple
         return self.pidx[itemgetter(*self.perms[j])(self.perms[i])]
 
@@ -123,26 +118,22 @@ class SymTables:
         """sends[y][u]: the bitset of {c : perms[c](y) = u}."""
         return [[bits(col == u) for u in range(self.n)] for col in self.np_perms.T]
 
-    @functools.cached_property
-    def _roots(self) -> tuple[np.ndarray, np.ndarray]:
-        # the c sorted by the index of c o c; the roots of p are order[start[p]:start[p + 1]]
-        P, lex = self.np_perms, self._radix[::-1]
-        sq = np.searchsorted(P @ lex, np.take_along_axis(P, P, axis=1) @ lex)
-        order = np.argsort(sq, kind="stable").astype(np.int32)
-        return order, np.searchsorted(sq[order], np.arange(self.m + 1)).astype(np.int32)
+    def _forcing(self, forced) -> int:
+        """The bitset of {c : for every x, c(x) = w forces c into the class forced(x, w)}."""
+        sends, out = self.sends, -1
+        for x in range(self.n):
+            out &= functools.reduce(or_, [cls & forced(x, w) for w, cls in enumerate(sends[x])])
+        return out
 
     def square_roots(self, p: int) -> int:
-        """The bitset of {c : perms[c] o perms[c] = perms[p]}."""
-        order, start = self._roots
-        return sum(1 << c for c in order[start[p] : start[p + 1]].tolist())
+        """The bitset of {c : perms[c] o perms[c] = perms[p]}: c(x) = w forces c(w) = p(x)."""
+        q, sends = self.perms[p], self.sends
+        return self._forcing(lambda x, w: sends[w][q[x]])
 
     def conjugators(self, src: int, tgt: int) -> int:
         """The bitset of {c : c b c^-1 = a}, b = perms[src], a = perms[tgt]: c(b(x)) = a(c(x))."""
         b, a, sends = self.perms[src], self.perms[tgt], self.sends
-        out = -1
-        for x in range(self.n):
-            out &= functools.reduce(or_, [sends[x][w] & sends[b[x]][aw] for w, aw in enumerate(a)])
-        return out
+        return self._forcing(lambda x, w: sends[b[x]][a[w]])
 
     # -- canonical relabeling ---------------------------------------------
 
@@ -175,19 +166,27 @@ class SymTables:
     def aligners(self, src: int, tgt: int, x0: int) -> Iterator[Perm]:
         """
         Yield, in lex order, every relabeling f (full-domain bijection) with
-        f(x0) == 0 and f perms[src] f^{-1} == perms[tgt]. The (n-1)!
-        relabelings pinning x0 to 0 are conjugated in one gather and filtered.
+        f(x0) == 0 and f perms[src] f^{-1} == perms[tgt]: the conjugators
+        of src onto tgt that send x0 to 0.
         """
-        P = self.np_perms
-        f = np.flatnonzero(P[:, x0] == 0)
-        conj = P[f[:, None], P[src][self.np_inv[f]]]  # conj[k, y] = f(p(f^-1(y)))
-        for i in f[(conj == P[tgt]).all(axis=1)]:
+        found = self.conjugators(src, tgt) & self.sends[x0][0]
+        for i in np.flatnonzero(unbits(found, self.m)).tolist():
             yield self.perms[i]
 
 
 def bits(mask: np.ndarray) -> int:
     """The bitset of a boolean array: bit i is mask[i]."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def unbits(b: int, m: int) -> np.ndarray:
+    """The boolean array of a bitset 0 <= b < 2^m, the inverse of `bits`.
+
+    >>> unbits(bits(np.array([True, False, True, True])), 4)
+    array([ True, False,  True,  True])
+    """
+    raw = np.frombuffer(b.to_bytes(-(-m // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=m, bitorder="little").view(bool)
 
 
 @functools.cache

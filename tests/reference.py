@@ -11,6 +11,7 @@ references; the tests require equal results.
 * `all_pairs_derived_series`: the derived series with each derived
   subgroup closed from the commutators of all element pairs.
 * `lexsort_min_relabeled`: every relabeled table built in full and sorted.
+* `conjugate`: f p f^-1, the relabeling of one permutation, in a loop.
 * `loop_mc`: the minimal-conjugate table from the cycles of every
   permutation, one at a time.
 * `dense_candidate_mask`: the search's candidate filter as numpy gathers,
@@ -127,6 +128,14 @@ def lexsort_min_relabeled(tab: SymTables, table) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in best[i * n : (i + 1) * n]) for i in range(n))
 
 
+def conjugate(f, p) -> tuple[int, ...]:
+    """f p f^{-1} in image-list form: the relabeling of p along f."""
+    out = [0] * len(p)
+    for i, pi in enumerate(p):
+        out[f[i]] = f[pi]
+    return tuple(out)
+
+
 def loop_mc(tab: SymTables) -> list[list[int]]:
     """
     mc[c][a]: the lex-first index with the cycle type of perms[c] whose
@@ -149,7 +158,8 @@ def loop_mc(tab: SymTables) -> list[list[int]]:
 def dense_candidate_mask(search, rows, gmask, k) -> np.ndarray:
     """The boolean mask of `_Search._candidate_mask`, each test over all m candidates."""
     n, tab, root = search.n, search.tab, search.root
-    P, IV, C, invi_np, mc_np = tab.np_perms, tab.np_inv, tab.comp_np, tab.invi_np, tab.mc_np
+    P, IV, C, mc_np = tab.np_perms, tab.np_inv, tab.comp_np, tab.mc_np
+    invi_np = np.frombuffer(tab.invi, dtype=np.int32)
     ar = np.arange(tab.m, dtype=np.int32)
     ok = mc_np[:, k] >= root
     rows_arr = np.fromiter((r if r is not None else -1 for r in rows), dtype=np.int32, count=n)

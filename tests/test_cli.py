@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from ybekit.catalog import read_catalog
+from ybekit.catalog import CatalogRecord, read_catalog
 from ybekit.cli import main
-from ybekit.enumeration import analyze
+from ybekit.enumeration import analyze, fast_enumerate
 from ybekit.solutions import Solution
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -198,6 +198,26 @@ def test_classify_degenerate(capsys):
     assert main(["classify", "--n-max", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["per_n"] == {}
+
+
+def test_classify_shape_failure_exits_4(monkeypatch, capsys):
+    # a primitive record planted at composite size 4
+    c4 = CatalogRecord(
+        n=4, sigma=((1, 2, 3, 0),) * 4, valid=True, indecomposable=True,
+        primitive=True, group_order=4,
+    )
+
+    def planted(n, **kwargs):
+        return [c4] if n == 4 else fast_enumerate(n, **kwargs)
+
+    monkeypatch.setattr("ybekit.enumeration.fast_enumerate", planted)
+    assert main(["classify", "--n-max", "4"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: classification shape check failed: "
+        "found 1 primitive classes at composite size 4"
+    ]
 
 
 def test_bad_caps(tmp_path, capsys):

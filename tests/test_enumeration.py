@@ -18,7 +18,7 @@ from ybekit.enumeration import (
     fast_enumerate,
     oracle_enumerate,
 )
-from ybekit.errors import BudgetExceededError
+from ybekit.errors import BudgetExceededError, ClassificationShapeError
 from ybekit.permgroup import PermGroup
 from ybekit.solutions import Solution, canonical_form, relabel, validate
 from ybekit.symtab import get_tables
@@ -459,6 +459,59 @@ def test_classify_small():
 
     degenerate = classify_primitive(1)
     assert degenerate.counts == {}
+
+
+def _cycle_record(n, sigma=None, group_order=None):
+    """A primitive record; by default the expected one, constant rows of an n-cycle."""
+    cycle = tuple(range(1, n)) + (0,)
+    return CatalogRecord(
+        n=n, sigma=sigma or (cycle,) * n, valid=True, indecomposable=True,
+        primitive=True, group_order=group_order or n,
+    )
+
+
+def _plant_records(monkeypatch, planted):
+    """fast_enumerate returns planted[n], and elsewhere the expected shape."""
+
+    def fake(n, **kwargs):
+        if n in planted:
+            return planted[n]
+        return [_cycle_record(n)] if n in (2, 3, 5, 7) else []
+
+    monkeypatch.setattr("ybekit.enumeration.fast_enumerate", fake)
+
+
+C5 = (1, 2, 3, 4, 0)
+
+
+@pytest.mark.parametrize(
+    "n_max, planted, message",
+    [
+        (4, [_cycle_record(4)], "found 1 primitive classes at composite size 4"),
+        (5, [], "expected exactly one primitive class at prime size 5, found 0"),
+        (5, [_cycle_record(5)] * 2, "expected exactly one primitive class at prime size 5, found 2"),
+        (
+            5,
+            [_cycle_record(5, sigma=(C5,) * 4 + ((4, 0, 1, 2, 3),))],
+            "primitive class at 5 is not a constant-row solution",
+        ),
+        (
+            5,
+            [_cycle_record(5, sigma=((1, 0, 3, 4, 2),) * 5)],
+            "primitive class at 5 is not driven by an 5-cycle",
+        ),
+        (
+            5,
+            [_cycle_record(5, group_order=10)],
+            "primitive class at 5 has group order 10, expected the cyclic group of order 5",
+        ),
+    ],
+)
+def test_classify_shape_check_rejects_planted_records(monkeypatch, n_max, planted, message):
+    _plant_records(monkeypatch, {n_max: planted})
+    with pytest.raises(ClassificationShapeError) as exc:
+        classify_primitive(n_max)
+    assert str(exc.value) == message
 
 
 def test_classify_representatives_are_cycle_solutions():
