@@ -454,7 +454,11 @@ def enumerate_canonical_tables(
 
 
 def _run_search(n: int, threads: int, time_budget_secs: float | None) -> _Enumeration:
-    symtab.get_tables(n).ensure_comp()  # before any fork: workers share it copy-on-write
+    # every table the search reads, built before any fork: workers share them copy-on-write
+    tab = symtab.get_tables(n)
+    tab.ensure_comp()
+    for name in symtab.LAZY_TABLES:
+        getattr(tab, name)
     deadline = None if time_budget_secs is None else time.monotonic() + time_budget_secs
     units = [(n, root, deadline) for root in canonical_root_rows(n)]
     if threads == 1:

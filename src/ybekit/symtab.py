@@ -5,17 +5,23 @@ These back the relabeling machinery: canonical forms of sigma tables, the
 minimal-conjugate bound of the search's symmetry breaking, and index-based
 composition and candidate sets for its core. `SymTables` is the only place
 a Sym(n) lookup is built, each with array operations over the lex-ordered
-permutations: inverse indices, the minimal-conjugate table from cycle
-lengths and, on first use, the composition table (degrees <= 7; one buffer
-read through its (m, m) view `comp_np`) and the bitsets {c : c(y) = u}, from
-which one rule gives the conjugators, square roots and aligners. Tables are
-built once per degree and shared (read-only once built, so forked workers
-inherit them copy-on-write).
+permutations. Construction builds only the arrays every caller reads: the
+permutations `np_perms`, their inverses `np_inv` and the radix of their
+keys, which is all that `min_relabeled` (the canonical form) needs. The
+search's tables are built on first read: its scalar views (`perms`,
+`pidx`, `iperms`, inverse indices `invi`, the minimal-conjugate table
+`mc_np` from cycle lengths and its list form `mc`), the composition table
+(degrees <= 7; one buffer read through its (m, m) view `comp_np`) and the
+bitsets {c : c(y) = u}, from which one rule gives the conjugators, square
+roots and aligners. Tables are built once per degree and shared, read-only
+once built; the search builds them all before it forks its workers, which
+then inherit them copy-on-write.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from array import array
 from operator import itemgetter, or_
 from typing import Iterator
@@ -26,15 +32,26 @@ from .errors import BudgetExceededError
 from .perms import Perm
 
 MAX_DEGREE = 8
+# the tables of SymTables built on first read, all of which the search reads
+LAZY_TABLES = ("perms", "pidx", "iperms", "invi", "mc_np", "mc", "sends")
 
 
 class SymTables:
     """
-    Lex-ordered list of all degree-n permutations plus derived lookup tables.
+    Lex-ordered array of all degree-n permutations plus derived lookup tables.
+
+    Construction builds `np_perms`, `np_inv` and `_radix`; every other table
+    is built on first read and then kept. A process that forks workers reads
+    the tables they use first, so that they share one copy-on-write instead
+    of each building its own.
 
     >>> tab = SymTables(3)
+    >>> "mc" in vars(tab)  # not built yet
+    False
     >>> tab.perms[4], tab.mc[4]  # a 3-cycle: every anchor gives the least 3-cycle
     ((2, 0, 1), [3, 3, 3])
+    >>> "mc" in vars(tab)
+    True
     >>> tab.perms[1], tab.mc[1]  # 0 is fixed; 1 and 2 lie on a 2-cycle
     ((0, 2, 1), [1, 2, 2])
     >>> list(tab.invi)  # the two 3-cycles are each other's inverse
@@ -47,24 +64,49 @@ class SymTables:
                 f"symmetric-group tables supported for degree 1..{MAX_DEGREE}, got {n}"
             )
         self.n = n
-        perms = list(itertools.permutations(range(n)))  # lex order
-        self.m = len(perms)
-        self.perms: list[Perm] = perms
-        self.pidx: dict[Perm, int] = {p: i for i, p in enumerate(perms)}
-        self.np_perms = np.array(perms, dtype=np.int16)
+        self.m = math.factorial(n)
+        flat = itertools.chain.from_iterable(itertools.permutations(range(n)))  # lex order
+        self.np_perms = np.fromiter(flat, dtype=np.int16, count=self.m * n).reshape(self.m, n)
+        self.np_inv = np.argsort(self.np_perms, axis=1).astype(np.int16)
+        self._radix = np.array([n**k for k in range(n)], dtype=np.int64)
+        # perms[i] o perms[j] at index i * m + j (degrees <= 7, on demand);
+        # comp_np is an (m, m) view of the same buffer
+        self._comp: array | None = None
+        self.comp_np: np.ndarray | None = None
 
-        P = self.np_perms
-        self.np_inv = np.argsort(P, axis=1).astype(np.int16)
-        self.iperms: list[Perm] = list(map(tuple, self.np_inv.tolist()))
-        # invi[c]: index of perms[c]^-1, the lex rank of row c of np_inv
+    # -- the search's views, each built on first read ----------------------
+
+    @functools.cached_property
+    def perms(self) -> list[Perm]:
+        """perms[c]: row c of np_perms as a tuple."""
+        return list(itertools.permutations(range(self.n)))
+
+    @functools.cached_property
+    def pidx(self) -> dict[Perm, int]:
+        """The index of each permutation: pidx[perms[c]] == c."""
+        return {p: i for i, p in enumerate(self.perms)}
+
+    @functools.cached_property
+    def iperms(self) -> list[Perm]:
+        """iperms[c]: perms[c]^-1 as a tuple."""
+        return list(map(tuple, self.np_inv.tolist()))
+
+    @functools.cached_property
+    def invi(self) -> array:
+        """invi[c]: the index of perms[c]^-1, the lex rank of row c of np_inv."""
         rank = np.empty(self.m, dtype=np.int32)
         rank[np.lexsort(self.np_inv.T[::-1])] = np.arange(self.m, dtype=np.int32)
-        self.invi = array("i", rank.tobytes())
+        return array("i", rank.tobytes())
 
-        # mc[c][a]: index of the lex-least conjugate of perms[c] under
-        # relabelings sending point a to 0. Equals the lex-least perm with
-        # the same cycle type whose 0-cycle has the length of a's cycle.
-        # lens[c, x] is the length of x's cycle; its sorted row is the type.
+    @functools.cached_property
+    def mc_np(self) -> np.ndarray:
+        """
+        mc_np[c, a]: index of the lex-least conjugate of perms[c] under
+        relabelings sending point a to 0. Equals the lex-least perm with the
+        same cycle type whose 0-cycle has the length of a's cycle.
+        """
+        n, P = self.n, self.np_perms
+        # lens[c, x] is the length of x's cycle; its sorted row is the type
         pts = np.broadcast_to(np.arange(n, dtype=np.int16), P.shape)
         img, lens = pts, np.zeros((self.m, n), dtype=np.int64)
         for k in range(1, n + 1):
@@ -73,16 +115,12 @@ class SymTables:
         typ = np.sort(lens, axis=1) @ (n + 1) ** np.arange(n, dtype=np.int64)
         key = typ[:, None] * (n + 1) + lens  # (type, length of the anchor's cycle)
         keys, first = np.unique(key[:, 0], return_index=True)  # lex-first index per key
-        at = np.searchsorted(keys, key)
-        self.mc_np = first.astype(np.int32)[at]
-        # one shared int object per distinct value, for the scalar reads of the search
-        self.mc: list[list[int]] = np.array(first.tolist(), dtype=object)[at].tolist()
+        return first.astype(np.int32)[np.searchsorted(keys, key)]
 
-        # perms[i] o perms[j] at index i * m + j (degrees <= 7, on demand);
-        # comp_np is an (m, m) view of the same buffer
-        self._comp: array | None = None
-        self.comp_np: np.ndarray | None = None
-        self._radix = np.array([n**k for k in range(n)], dtype=np.int64)
+    @functools.cached_property
+    def mc(self) -> list[list[int]]:
+        """mc_np as lists, for the scalar reads of the search: one shared int object per value."""
+        return np.arange(self.m).astype(object)[self.mc_np].tolist()
 
     # -- composition on indices ------------------------------------------
 

@@ -7,8 +7,10 @@ import pytest
 
 from reference import brute_prefix_canonical, dense_candidate_mask, lexsort_min_relabeled
 from ybekit.catalog import CatalogRecord
+from ybekit import symtab
 from ybekit.enumeration import (
     SearchStats,
+    _run_search,
     _nondegenerate_tables,
     _Search,
     analyze,
@@ -21,7 +23,7 @@ from ybekit.enumeration import (
 from ybekit.errors import BudgetExceededError, ClassificationShapeError
 from ybekit.permgroup import PermGroup
 from ybekit.solutions import Solution, canonical_form, relabel, validate
-from ybekit.symtab import get_tables
+from ybekit.symtab import SymTables, get_tables
 
 # frozen regression counts, established by the exhaustive oracle (n <= 4)
 # and by verified enumerator runs (n >= 5)
@@ -121,6 +123,18 @@ def test_determinism_across_threads():
             )
             assert stats == EXPECTED_STATS[n]
         assert runs[0] == runs[1] == runs[2]
+
+
+def test_search_tables_are_built_before_the_fork(monkeypatch):
+    # a worker that built a table itself would keep it; the parent's fresh
+    # tables show whether the warm-up ran before the pool forked
+    tab = SymTables(5)
+    monkeypatch.setattr(symtab, "get_tables", lambda n: tab)
+    run = _run_search(5, 2, None)
+    assert run.stats == EXPECTED_STATS[5]
+    for name in ("perms", "pidx", "iperms", "invi", "mc", "mc_np", "sends"):
+        assert name in vars(tab)
+    assert tab.comp_np is not None
 
 
 def test_all_tables_are_canonical_and_valid():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -10,7 +11,7 @@ import pytest
 from reference import conjugate, loop_mc
 from ybekit.errors import BudgetExceededError
 from ybekit.perms import compose, cycles, inverse
-from ybekit.symtab import SymTables, get_tables
+from ybekit.symtab import LAZY_TABLES, SymTables, get_tables
 
 
 def all_perms(n):
@@ -211,6 +212,7 @@ def test_bitset_tables_at_n8_are_small_and_quick():
     tab = SymTables(8)
     tab.ensure_comp()
     assert "sends" not in vars(tab)
+    tab.perms  # a view built on first read, which square_roots reads
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -224,3 +226,23 @@ def test_bitset_tables_at_n8_are_small_and_quick():
     assert built < 0.5
     assert sends[0][0].bit_count() == math.factorial(7)
     assert tab.square_roots(0).bit_count() == 764  # the identity and the involutions
+
+
+def test_construction_builds_no_view_at_n8():
+    # the canonical form reads np_perms, np_inv and _radix only; the views of
+    # the search held 18.5 MB when construction built them
+    tracemalloc.start()
+    try:
+        tab = SymTables(8)
+        tab.ensure_comp()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 2**20
+    for name in ("perms", "pidx", "iperms", "invi", "mc", "mc_np"):
+        assert name not in vars(tab)
+
+
+def test_lazy_tables_are_the_cached_properties():
+    cached = {k for k, v in vars(SymTables).items() if isinstance(v, functools.cached_property)}
+    assert set(LAZY_TABLES) == cached and len(LAZY_TABLES) == len(cached)

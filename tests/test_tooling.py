@@ -22,7 +22,7 @@ def test_permgroup_doctests_pass():
 
 def test_symtab_doctests_pass():
     result = doctest.testmod(symtab)
-    assert result.failed == 0 and result.attempted >= 5
+    assert result.failed == 0 and result.attempted >= 7
 
 
 def test_enumeration_doctests_pass():
