@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from reference import brute_prefix_canonical, dense_candidate_mask, lexsort_min_relabeled
-from ybekit.catalog import CatalogRecord
 from ybekit import symtab
+from ybekit.catalog import CatalogRecord
 from ybekit.enumeration import (
     SearchStats,
-    _run_search,
     _nondegenerate_tables,
+    _run_search,
     _Search,
     analyze,
     canonical_root_rows,
@@ -126,8 +126,8 @@ def test_determinism_across_threads():
 
 
 def test_search_tables_are_built_before_the_fork(monkeypatch):
-    # a worker that built a table itself would keep it; the parent's fresh
-    # tables show whether the warm-up ran before the pool forked
+    # a table that a forked worker builds stays in that worker, so fresh
+    # tables that hold every view after the run were built before the fork
     tab = SymTables(5)
     monkeypatch.setattr(symtab, "get_tables", lambda n: tab)
     run = _run_search(5, 2, None)
