@@ -117,8 +117,9 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
 
     S = np.array(s.sigma, dtype=np.int32)
     row_index = tuple(int(i) for i in index_of(S))
-    # mul[i, j] = index of E[i] o E[j], in row slabs of at most max(2^20, k n) entries
-    step = max(1, (1 << 20) // (k * s.n))
+    # mul[i, j] = index of E[i] o E[j], in row slabs of at most max(2^16, k n)
+    # entries, so a slab's temporaries stay near 0.25 MB each
+    step = max(1, (1 << 16) // (k * s.n))
     mul = np.concatenate([index_of(E[i : i + step, E]) for i in range(0, k, step)])
 
     # a + sigma_y = a o sigma_{a^{-1}(y)}, for every element a and point y

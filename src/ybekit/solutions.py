@@ -202,6 +202,7 @@ def validate(s: Solution) -> ValidationReport:
     inv = np.empty_like(S)
     inv[pts[:, None], S] = pts
     R2 = inv[S, pts[:, None]]
+    del inv
     SR = S * n + R2
     SRf = SR.ravel()
 
@@ -213,6 +214,7 @@ def validate(s: Solution) -> ValidationReport:
 
     cols = np.sort(R2, axis=0)
     y = first((cols[1:] == cols[:-1]).any(axis=0))
+    del cols
     nondeg_ce = None
     if y is not None:
         col = R2[:, y[0]]

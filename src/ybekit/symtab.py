@@ -6,16 +6,17 @@ minimal-conjugate bound of the search's symmetry breaking, and index-based
 composition and candidate sets for its core. `SymTables` is the only place
 a Sym(n) lookup is built, each with array operations over the lex-ordered
 permutations. Construction builds only the arrays every caller reads: the
-permutations `np_perms`, their inverses `np_inv` and the radix of their
-keys, which is all that `min_relabeled` (the canonical form) needs. The
-search's tables are built on first read: its scalar views (`perms`,
-`pidx`, `iperms`, inverse indices `invi`, the minimal-conjugate table
-`mc_np` from cycle lengths and its list form `mc`), the composition table
-(degrees <= 7; one buffer read through its (m, m) view `comp_np`) and the
-bitsets {c : c(y) = u}, from which one rule gives the conjugators, square
-roots and aligners. Tables are built once per degree and shared, read-only
-once built; the search builds them all before it forks its workers, which
-then inherit them copy-on-write.
+permutations `np_perms`, their inverses `np_inv` (int8, 0.6 MB at n = 8)
+and the radix of their keys, which is all that `min_relabeled` (the
+canonical form, over slabs of relabelings) needs. The search's tables are
+built on first read: its scalar views (`perms`, `pidx`, `iperms`, inverse
+indices `invi`, the minimal-conjugate table `mc_np` from cycle lengths and
+its list form `mc`), the composition table (degrees <= 7; one buffer read
+through its (m, m) view `comp_np`) and the bitsets {c : c(y) = u}, from
+which one rule gives the conjugators, square roots and aligners. Tables are
+built once per degree and shared, read-only once built; the search builds
+them all before it forks its workers, which then inherit them
+copy-on-write.
 """
 from __future__ import annotations
 
@@ -32,6 +33,9 @@ from .errors import BudgetExceededError
 from .perms import Perm
 
 MAX_DEGREE = 8
+# Tied relabelings per slab of `SymTables.min_relabeled`: at n = 8 a slab's
+# temporaries take at most 0.13 MB each, not 1.3 MB for all 40320 at once.
+_SLAB_RELABELINGS = 1 << 11
 # the tables of SymTables built on first read, all of which the search reads
 LAZY_TABLES = ("perms", "pidx", "iperms", "invi", "mc_np", "mc", "sends")
 
@@ -41,7 +45,10 @@ class SymTables:
     Lex-ordered array of all degree-n permutations plus derived lookup tables.
 
     Construction builds `np_perms`, `np_inv` and `_radix`; every other table
-    is built on first read and then kept. A process that forks workers reads
+    is built on first read and then kept. `np_perms` and `np_inv` are int8,
+    since every entry is below n <= 8 (0.6 MB together at n = 8); their
+    readers compute in a wider type. `np_inv` is built by one column
+    scatter per point, with no (m, n) sort. A process that forks workers reads
     the tables they use first, so that they share one copy-on-write instead
     of each building its own.
 
@@ -66,8 +73,11 @@ class SymTables:
         self.n = n
         self.m = math.factorial(n)
         flat = itertools.chain.from_iterable(itertools.permutations(range(n)))  # lex order
-        self.np_perms = np.fromiter(flat, dtype=np.int16, count=self.m * n).reshape(self.m, n)
-        self.np_inv = np.argsort(self.np_perms, axis=1).astype(np.int16)
+        self.np_perms = np.fromiter(flat, dtype=np.int8, count=self.m * n).reshape(self.m, n)
+        self.np_inv = np.empty_like(self.np_perms)
+        every = np.arange(self.m)
+        for j in range(n):  # np_perms[c, j] = i  <=>  np_inv[c, i] = j
+            self.np_inv[every, self.np_perms[:, j]] = j
         self._radix = np.array([n**k for k in range(n)], dtype=np.int64)
         # perms[i] o perms[j] at index i * m + j (degrees <= 7, on demand);
         # comp_np is an (m, m) view of the same buffer
@@ -182,21 +192,28 @@ class SymTables:
         Relabeling by f sends row x to f o sigma_{f^{-1}(x)} o f^{-1}; tables
         compare row-major. The relabeled rows are built one row at a time,
         for the relabelings still tied for least only: after each row, every
-        f whose row is not the least one is dropped.
+        f whose row is not the least one is dropped. A row's keys are
+        computed over slabs of at most `_SLAB_RELABELINGS` tied relabelings,
+        so no temporary spans all n! of them: at n = 8 the largest are the
+        int32 indices and keys of the tied relabelings, 0.16 MB each, and a
+        traced call peaks below 1 MB.
         """
         n = self.n
-        t = np.array(table, dtype=np.int32).ravel()
-        f, finv = self.np_perms.astype(np.int32), self.np_inv.astype(np.int32)
+        t = np.array(table, dtype=np.intp).ravel()
+        flat, weights = self.np_perms.ravel(), self._radix[::-1]
+        tied = np.arange(self.m, dtype=np.int32)
         best = []
         for x in range(n):
-            # row[i, j] = f_i(table[finv_i(x)][finv_i(j)]), by flat gathers
-            at = t[finv[:, x, None] * n + finv]
-            row = f.ravel()[at + np.arange(0, f.size, n, dtype=np.int32)[:, None]]
-            key = row @ self._radix[::-1].astype(np.int32)  # a lex-order key
-            keep = key == key.min()
-            if not keep.all():
-                f, finv, row = f[keep], finv[keep], row[keep]
-            best.append(tuple(int(v) for v in row[0]))
+            key = np.empty(len(tied), dtype=np.int32)  # n^n <= 2^24
+            for a in range(0, len(tied), _SLAB_RELABELINGS):
+                f = tied[a : a + _SLAB_RELABELINGS]
+                finv = self.np_inv.take(f, axis=0).astype(np.intp)
+                at = t.take(finv[:, x, None] * n + finv)  # table[finv(x)][finv(j)]
+                at += f[:, None] * n  # the flat index of f(that) in np_perms
+                key[a : a + _SLAB_RELABELINGS] = flat.take(at) @ weights
+            low = key.min()  # a lex-order key: its base-n digits are the row
+            tied = tied[key == low]
+            best.append(tuple(map(int, np.unravel_index(low, (n,) * n))))
         return tuple(best)
 
     # -- conjugation aligners ----------------------------------------------

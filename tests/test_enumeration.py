@@ -412,6 +412,36 @@ def test_min_relabeled_matches_lexsort_reference():
         assert tab.min_relabeled(table) == lexsort_min_relabeled(tab, table), table
 
 
+@pytest.mark.parametrize(
+    "slab",
+    [lambda m: 1, lambda m: 5, lambda m: max(1, m - 1)],
+    ids=["1", "5", "m-1"],
+)
+def test_min_relabeled_matches_lexsort_reference_at_slab_bounds(records_up_to_5, monkeypatch, slab):
+    # every class with n <= 5 and a seeded relabeling of it, with the tied
+    # relabelings split one per slab, five per slab, and all but one per slab
+    rng = random.Random(22)
+    for n, records in records_up_to_5.items():
+        tab = get_tables(n)
+        monkeypatch.setattr(symtab, "_SLAB_RELABELINGS", slab(tab.m))
+        for rec in records:
+            s = Solution(n, rec.sigma)
+            for table in (s.sigma, relabel(s, tuple(rng.sample(range(n), n))).sigma):
+                assert tab.min_relabeled(table) == lexsort_min_relabeled(tab, table), table
+
+
+@pytest.mark.parametrize("slab", [1, symtab._SLAB_RELABELINGS], ids=["1", "default"])
+def test_min_relabeled_at_n6_matches_lexsort_reference_at_slab_bounds(
+    records_up_to_6, monkeypatch, slab
+):
+    monkeypatch.setattr(symtab, "_SLAB_RELABELINGS", slab)
+    rng = random.Random(23)
+    tab = get_tables(6)
+    for rec in records_up_to_6[6]:
+        table = relabel(Solution(6, rec.sigma), tuple(rng.sample(range(6), 6))).sigma
+        assert tab.min_relabeled(table) == lexsort_min_relabeled(tab, table), table
+
+
 def test_root_rows_are_pinned_minimal():
     roots = canonical_root_rows(4)
     assert 0 in roots  # the identity row

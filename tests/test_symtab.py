@@ -11,6 +11,7 @@ import pytest
 from reference import conjugate, loop_mc
 from ybekit.errors import BudgetExceededError
 from ybekit.perms import compose, cycles, inverse
+from ybekit.solutions import Solution, canonical_form
 from ybekit.symtab import LAZY_TABLES, SymTables, get_tables
 
 
@@ -246,3 +247,70 @@ def test_construction_builds_no_view_at_n8():
 def test_lazy_tables_are_the_cached_properties():
     cached = {k for k, v in vars(SymTables).items() if isinstance(v, functools.cached_property)}
     assert set(LAZY_TABLES) == cached and len(LAZY_TABLES) == len(cached)
+
+
+def test_tables_are_int8_and_inverse():
+    for n in range(1, 9):
+        tab = get_tables(n)
+        assert tab.np_perms.dtype == tab.np_inv.dtype == np.int8
+        # np_perms[c][np_inv[c]] is the identity for every c
+        assert (np.take_along_axis(tab.np_perms, tab.np_inv, 1) == np.arange(n)).all()
+
+
+def test_tables_at_n8_are_small():
+    # int8 entries and an inverse built by column scatters: no argsort into
+    # a 2.6 MB int64 temporary
+    tracemalloc.start()
+    try:
+        tab = SymTables(8)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.75 * 2**20
+    assert peak < 1.5 * 2**20
+    assert tab.np_perms.nbytes + tab.np_inv.nbytes == 2 * 8 * 40320
+
+
+@pytest.mark.parametrize(
+    "table, form",
+    [
+        (
+            # a relabeled disjoint union of two 4-point classes
+            (
+                (7, 1, 2, 3, 4, 5, 6, 0),
+                (0, 2, 1, 3, 5, 4, 6, 7),
+                (0, 4, 5, 3, 1, 2, 6, 7),
+                (0, 1, 2, 6, 4, 5, 3, 7),
+                (0, 4, 5, 3, 1, 2, 6, 7),
+                (0, 2, 1, 3, 5, 4, 6, 7),
+                (0, 1, 2, 6, 4, 5, 3, 7),
+                (7, 1, 2, 3, 4, 5, 6, 0),
+            ),
+            (
+                (1, 0, 2, 3, 4, 5, 6, 7),
+                (1, 0, 2, 3, 4, 5, 6, 7),
+                (0, 1, 3, 2, 4, 5, 6, 7),
+                (0, 1, 3, 2, 4, 5, 6, 7),
+                (0, 1, 2, 3, 5, 4, 7, 6),
+                (0, 1, 2, 3, 6, 7, 4, 5),
+                (0, 1, 2, 3, 6, 7, 4, 5),
+                (0, 1, 2, 3, 5, 4, 7, 6),
+            ),
+        ),
+        # the trivial solution: all 40320 relabelings tie on every row
+        (Solution.trivial(8).sigma, Solution.trivial(8).sigma),
+    ],
+    ids=["union", "trivial"],
+)
+def test_canonical_form_at_n8_is_small(table, form):
+    # the tied relabelings are scanned in slabs; all 40320 at once took
+    # over 6 MB of temporaries
+    get_tables(8)
+    tracemalloc.start()
+    try:
+        got = canonical_form(Solution(8, table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.sigma == form
+    assert peak < 2 * 2**20
