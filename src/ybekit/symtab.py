@@ -209,7 +209,7 @@ class SymTables:
                 f = tied[a : a + _SLAB_RELABELINGS]
                 finv = self.np_inv.take(f, axis=0).astype(np.intp)
                 at = t.take(finv[:, x, None] * n + finv)  # table[finv(x)][finv(j)]
-                at += f[:, None] * n  # the flat index of f(that) in np_perms
+                at += f[:, None] * n  # where np_perms.ravel() holds f of that entry
                 key[a : a + _SLAB_RELABELINGS] = flat.take(at) @ weights
             low = key.min()  # a lex-order key: its base-n digits are the row
             tied = tied[key == low]

@@ -158,7 +158,9 @@ def loop_mc(tab: SymTables) -> list[list[int]]:
 def dense_candidate_mask(search, rows, gmask, k) -> np.ndarray:
     """The boolean mask of `_Search._candidate_mask`, each test over all m candidates."""
     n, tab, root = search.n, search.tab, search.root
-    P, IV, C, mc_np = tab.np_perms, tab.np_inv, tab.comp_np, tab.mc_np
+    # the tables are int8, and at n = 8 a gmask value (up to 255) would not fit
+    P, IV = tab.np_perms.astype(np.intp), tab.np_inv.astype(np.intp)
+    C, mc_np = tab.comp_np, tab.mc_np
     invi_np = np.frombuffer(tab.invi, dtype=np.int32)
     ar = np.arange(tab.m, dtype=np.int32)
     ok = mc_np[:, k] >= root

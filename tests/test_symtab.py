@@ -268,7 +268,7 @@ def test_tables_at_n8_are_small():
         tracemalloc.stop()
     assert held < 0.75 * 2**20
     assert peak < 1.5 * 2**20
-    assert tab.np_perms.nbytes + tab.np_inv.nbytes == 2 * 8 * 40320
+    assert tab.np_perms.shape == tab.np_inv.shape == (40320, 8)
 
 
 @pytest.mark.parametrize(
