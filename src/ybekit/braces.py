@@ -13,9 +13,10 @@ pinned down by the single recurrence
 
 which extends to all pairs by closure: every element is a sum of row
 generators, so unfilled columns of the addition table are filled one
-generator-step away from a filled one. The construction verifies every
-structural invariant afterwards and aborts on any failure (existence and
-uniqueness of the brace are guaranteed, so a failure means a bug upstream).
+generator-step away from a filled one. `_verify_construction` then decides
+every brace fact exactly and aborts on any failure (existence and uniqueness
+of the brace are guaranteed, so a failure means a bug upstream); the checks
+below decide only what construction does not.
 
 All tables are dense k x k integer arrays over element indices; index 0 is
 always the shared neutral element.
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
-from .perms import Perm, compose
 from .permgroup import PermGroup
 from .solutions import Solution, is_irretractable
 
@@ -138,6 +138,7 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
 
     # close remaining columns: if column p is total and g is a generator
     # column, the column of t = p + g satisfies add[i, t] = add[add[i, p], g].
+    # A column is filled only whole, from filled columns, so none holds -1.
     gcols = sorted(set(row_index))
     filled = {0, *gcols}
     queue = [0, *gcols]
@@ -150,18 +151,15 @@ def brace_from_solution(s: Solution, cap: int = DEFAULT_BRACE_CAP) -> FiniteBrac
                 add[:, t] = add[col_p, g]
                 filled.add(t)
                 queue.append(t)
-    if len(filled) != k or (add < 0).any():
+    if len(filled) != k:
         raise ConstructionError(
             "additive closure did not reach every element; "
             "input is not a validated solution"
         )
 
-    zeros_add, zeros_mul = add == 0, mul == 0
-    if (zeros_add.sum(axis=1) != 1).any() or (zeros_mul.sum(axis=1) != 1).any():
-        raise ConstructionError("tables are not group tables")
-    neg = zeros_add.argmax(axis=1).astype(np.int32)
-    minv = zeros_mul.argmax(axis=1).astype(np.int32)
-
+    # each row's first 0; _verify_construction tests Latin-ness before use
+    neg = (add == 0).argmax(axis=1).astype(np.int32)
+    minv = (mul == 0).argmax(axis=1).astype(np.int32)
     lam = add[mul, neg[:, None]]  # lambda_a(b) = a*b - a
 
     brace = FiniteBrace(
@@ -296,6 +294,9 @@ def additive_identities_check(b: FiniteBrace) -> bool:
 def socle(b: FiniteBrace) -> tuple[int, ...]:
     """
     Elements with a*x == a+x for every x; cross-checked against ker(lambda).
+
+    >>> socle(brace_from_solution(Solution.permutation_solution((1, 2, 0))))
+    (0, 1, 2)
     """
     by_tables = tuple(np.flatnonzero((b.mul == b.add).all(axis=1)).tolist())
     by_lambda = tuple(np.flatnonzero((b.lam == np.arange(b.order)).all(axis=1)).tolist())
@@ -313,12 +314,12 @@ def socle_is_ideal(b: FiniteBrace) -> bool:
 
 
 def is_trivial_brace(b: FiniteBrace) -> bool:
-    """True iff addition and multiplication coincide; cross-checked via the socle."""
-    coincide = np.array_equal(b.mul, b.add)
-    full_socle = len(socle(b)) == b.order
-    if coincide != full_socle:
-        raise AssertionError("table equality disagrees with socle fullness")
-    return bool(coincide)
+    """True iff addition and multiplication coincide: the socle is everything.
+
+    >>> is_trivial_brace(brace_from_solution(Solution.permutation_solution((1, 2, 0))))
+    True
+    """
+    return len(socle(b)) == b.order
 
 
 def additive_orders(b: FiniteBrace) -> np.ndarray:
@@ -415,27 +416,16 @@ def permutational_isomorphism_check(s: Solution, cap: int = DEFAULT_BRACE_CAP) -
     the lambda map on the group form a permutational isomorphism onto the
     group of the brace-associated solution.
 
-    Verifies injectivity of x -> sigma_x, that g -> lambda_g is a group
-    isomorphism onto the associated solution's group, and the intertwining
+    x -> sigma_x is injective as s is irretractable, and construction has
+    verified that g -> lambda_g is a homomorphism onto that group. So this
+    decides that its kernel, the socle, is trivial, and the intertwining
     f1(g(x)) == f2(g)(f1(x)) for all g and x.
+
+    >>> s = Solution.from_rows([[0, 1, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1], [1, 0, 2, 3]])
+    >>> permutational_isomorphism_check(s)
+    True
     """
     if not is_irretractable(s):
         raise ValueError("defined for irretractable solutions only")
     b = brace_from_solution(s, cap=cap)
-    k = b.order
-
-    f1_injective = len(set(b.row_index)) == s.n
-
-    lam_rows = [tuple(int(v) for v in b.lam[a]) for a in range(k)]
-    homomorphism = all(
-        lam_rows[int(b.mul[a, c])] == compose(lam_rows[a], lam_rows[c])
-        for a in range(k)
-        for c in range(k)
-    )
-    injective = len(set(lam_rows)) == k
-    target_group = PermGroup.closure(sorted(set(lam_rows)), degree=k)
-    surjective = set(lam_rows) == set(target_group.elements)
-
-    compatible = lambda_matches_action(b, s)
-
-    return f1_injective and homomorphism and injective and surjective and compatible
+    return socle(b) == (0,) and lambda_matches_action(b, s)

@@ -500,10 +500,10 @@ def _record_from_canonical(table: tuple[Perm, ...]) -> CatalogRecord:
     return CatalogRecord(n=s.n, sigma=s.sigma, valid=True, **_flags(s, solution_group(s)))
 
 
-def invariant_suite(s: Solution, brace: FiniteBrace) -> bool:
+def invariant_suite(s: Solution, brace: FiniteBrace, flags: dict) -> bool:
     """
-    The structural cross-check battery for a validated solution and its
-    brace: lambda/action covariance, socle coherence, sigma-class
+    The structural cross-check battery for a validated solution, its brace
+    and its `_flags`: lambda/action covariance, socle coherence, sigma-class
     invariance, validity of the brace-associated solution, solvability of
     the group, and the Sylow system checks (with cross-part factorization
     when two or more primes divide the order). The brace construction
@@ -515,11 +515,11 @@ def invariant_suite(s: Solution, brace: FiniteBrace) -> bool:
         sigma_class_blocks(s).generator_invariant,
         validate(associated_solution(brace)).passed,
         brace.group.is_solvable(),
-        is_trivial_brace(brace) == _brace_trivial_by_rows(s),
+        is_trivial_brace(brace) == flags["brace_trivial"],
     ]
     decomposition = sylow_decomposition(brace)
     checks.append(decomp_check(brace, decomposition))
-    if is_irretractable(s):
+    if flags["irretractable"]:
         checks.append(socle(brace) == (0,))
     return all(checks)
 
@@ -541,7 +541,7 @@ def analyze(s: Solution, brace_cap: int = DEFAULT_BRACE_CAP) -> CatalogRecord:
     sigma = canonical_form(s).sigma if s.n <= symtab.MAX_DEGREE else s.sigma
     brace = brace_from_solution(s, cap=brace_cap)
     flags = _flags(s, brace.group)
-    ok = invariant_suite(s, brace)
+    ok = invariant_suite(s, brace, flags)
     return CatalogRecord(n=s.n, sigma=sigma, valid=True, invariants_ok=ok, **flags)
 
 

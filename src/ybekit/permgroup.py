@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .perms import Perm, compose, identity, inverse
+from .perms import Perm, compose, identity, inverse, is_perm
 
 DEFAULT_ORDER_CAP = 10**6
 
@@ -68,6 +68,8 @@ class PermGroup:
         for g in gens:
             if len(g) != degree:
                 raise ValueError("generators must share one degree")
+            if not is_perm(g):
+                raise ValueError(f"generator {g} is not a permutation")
 
         e = identity(degree)
         seen: set[Perm] = {e}

@@ -338,6 +338,8 @@ def relabel(s: Solution, f: Perm) -> Solution:
     """Transport the table along the relabeling f: row x becomes f sigma_{f^{-1}(x)} f^{-1}."""
     if len(f) != s.n:
         raise ValueError("relabeling degree mismatch")
+    if not is_perm(f):
+        raise ValueError(f"relabeling {f} is not a permutation")
     finv = [0] * s.n
     for i, v in enumerate(f):
         finv[v] = i

@@ -23,6 +23,11 @@ references; the tests require equal results.
   order and with their messages, with associativity, the compatibility
   axiom and the action property tested at every element, not on the
   generators only, and the generating-set test done by a set `closure`.
+* `loop_permutational_isomorphism`: the permutational isomorphism check
+  with every fact that brace construction verifies decided again: the
+  lambda homomorphism by k^2 `compose` calls, its injectivity on the lambda
+  rows, its surjectivity by closing the degree-k group of those rows, and
+  the injectivity of the rows of s, besides the covariance identity.
 """
 from __future__ import annotations
 
@@ -30,11 +35,12 @@ import itertools
 
 import numpy as np
 
+from ybekit import braces
 from ybekit.braces import FiniteBrace, _is_latin, find_additive_identity_counterexample
 from ybekit.errors import ConstructionError
 from ybekit.permgroup import PermGroup
 from ybekit.perms import compose, cycles, inverse
-from ybekit.solutions import Solution, ValidationReport, gamma_table
+from ybekit.solutions import Solution, ValidationReport, gamma_table, is_irretractable
 from ybekit.symtab import SymTables
 
 
@@ -278,3 +284,28 @@ def exhaustive_verify_construction(b: FiniteBrace) -> None:
             raise ConstructionError("lambda is not a multiplicative action")
     if find_additive_identity_counterexample(b) is not None:
         raise ConstructionError("difference identities fail")
+
+
+def loop_permutational_isomorphism(s: Solution) -> bool:
+    """`permutational_isomorphism_check`, reading `braces.brace_from_solution`
+    at call time so that a test can replace it."""
+    if not is_irretractable(s):
+        raise ValueError("defined for irretractable solutions only")
+    b = braces.brace_from_solution(s)
+    k = b.order
+
+    f1_injective = len(set(b.row_index)) == s.n
+
+    lam_rows = [tuple(int(v) for v in b.lam[a]) for a in range(k)]
+    homomorphism = all(
+        lam_rows[int(b.mul[a, c])] == compose(lam_rows[a], lam_rows[c])
+        for a in range(k)
+        for c in range(k)
+    )
+    injective = len(set(lam_rows)) == k
+    target_group = PermGroup.closure(sorted(set(lam_rows)), degree=k)
+    surjective = set(lam_rows) == set(target_group.elements)
+
+    compatible = braces.lambda_matches_action(b, s)
+
+    return f1_injective and homomorphism and injective and surjective and compatible

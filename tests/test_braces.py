@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import tracemalloc
 
@@ -22,7 +23,7 @@ from ybekit.braces import (
     socle_is_ideal,
     sylow_decomposition,
 )
-from reference import closure, exhaustive_verify_construction
+from reference import closure, exhaustive_verify_construction, loop_permutational_isomorphism
 from ybekit.enumeration import fast_enumerate
 from ybekit.errors import BudgetExceededError, ConstructionError
 from ybekit.permgroup import PermGroup
@@ -128,6 +129,50 @@ def test_permutational_isomorphism_check():
     assert permutational_isomorphism_check(IRRETRACTABLE4)
     with pytest.raises(ValueError):
         permutational_isomorphism_check(Solution.permutation_solution((1, 2, 0)))
+
+
+def test_permutational_isomorphism_check_matches_loop_reference(monkeypatch, records_up_to_6):
+    """The check agrees with the loop reference on every irretractable class
+    with n <= 6, and both reject a lambda table with two rows swapped."""
+    classes = [
+        Solution(n, rec.sigma)
+        for n, recs in records_up_to_6.items()
+        for rec in recs
+        if rec.irretractable
+    ]
+    assert len(classes) == 16 and Solution.trivial(1) in classes
+    for s in classes:
+        assert permutational_isomorphism_check(s) and loop_permutational_isomorphism(s)
+
+    original = brace_from_solution
+
+    def swapped(s, **kwargs):
+        b = original(s, **kwargs)
+        return dataclasses.replace(b, lam=b.lam[[0, 2, 1, *range(3, b.order)]])
+
+    monkeypatch.setattr("ybekit.braces.brace_from_solution", swapped)
+    swapped_classes = [s for s in classes if original(s).order >= 3]
+    assert len(swapped_classes) == 15
+    for s in swapped_classes:
+        assert not permutational_isomorphism_check(s)
+        assert not loop_permutational_isomorphism(s)
+
+
+def test_construction_rejects_every_invalid_table_up_to_3_points():
+    """Every table of permutation rows with n <= 3 that fails `validate` (206
+    of them) is refused by `brace_from_solution`; no separate group-table
+    test runs before `_verify_construction`."""
+    invalid = []
+    for n in (1, 2, 3):
+        rows = list(itertools.permutations(range(n)))
+        for sigma in itertools.product(rows, repeat=n):
+            s = Solution(n, sigma)
+            if not validate(s).passed:
+                invalid.append(s)
+    assert len(invalid) == 206
+    for s in invalid:
+        with pytest.raises(ConstructionError):
+            brace_from_solution(s)
 
 
 def test_brace_cap():

@@ -34,6 +34,12 @@ def test_closure_cap():
         PermGroup.closure([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], cap=10)
 
 
+@pytest.mark.parametrize("gen", [(0, 0, 1), (True, False)])
+def test_closure_rejects_a_generator_that_is_not_a_permutation(gen):
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermGroup.closure([gen])
+
+
 def test_lagrange_sanity():
     assert sym3().check_lagrange()
     assert PermGroup.closure([(1, 2, 3, 0)]).check_lagrange()

@@ -330,6 +330,12 @@ def test_relabel_round_trip():
     assert relabel(relabel(s, f), finv) == s
 
 
+@pytest.mark.parametrize("f", [(0, 1, 5), (0, 0, 0)])
+def test_relabel_rejects_a_relabeling_that_is_not_a_permutation(f):
+    with pytest.raises(ValueError, match=r"relabeling \(0, \d, \d\) is not a permutation"):
+        relabel(Solution.permutation_solution((1, 2, 0)), f)
+
+
 def test_is_isomorphic():
     assert is_isomorphic(
         Solution.permutation_solution((1, 2, 0)), Solution.permutation_solution((2, 0, 1))

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import ybekit
-from ybekit import enumeration, permgroup, perms, solutions, symtab
+from ybekit import braces, enumeration, permgroup, perms, solutions, symtab
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -33,6 +33,11 @@ def test_enumeration_doctests_pass():
 def test_solutions_doctests_pass():
     result = doctest.testmod(solutions)
     assert result.failed == 0 and result.attempted >= 1
+
+
+def test_braces_doctests_pass():
+    result = doctest.testmod(braces)
+    assert result.failed == 0 and result.attempted >= 4
 
 
 def test_pyproject_version_matches_package():
