@@ -23,6 +23,7 @@ always the shared neutral element.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -55,6 +56,14 @@ class FiniteBrace:
     @property
     def order(self) -> int:
         return self.group.order
+
+    @functools.cached_property
+    def _socle(self) -> tuple[int, ...]:
+        by_tables = tuple(np.flatnonzero((self.mul == self.add).all(axis=1)).tolist())
+        by_lambda = tuple(np.flatnonzero((self.lam == np.arange(self.order)).all(axis=1)).tolist())
+        if by_tables != by_lambda:
+            raise AssertionError("socle by tables disagrees with kernel of lambda")
+        return by_tables
 
     def to_json(self, include_lambda: bool = False) -> dict:
         out = {
@@ -293,16 +302,12 @@ def additive_identities_check(b: FiniteBrace) -> bool:
 
 def socle(b: FiniteBrace) -> tuple[int, ...]:
     """
-    Elements with a*x == a+x for every x; cross-checked against ker(lambda).
+    Elements with a*x == a+x for every x, cross-checked against ker(lambda) once per brace.
 
     >>> socle(brace_from_solution(Solution.permutation_solution((1, 2, 0))))
     (0, 1, 2)
     """
-    by_tables = tuple(np.flatnonzero((b.mul == b.add).all(axis=1)).tolist())
-    by_lambda = tuple(np.flatnonzero((b.lam == np.arange(b.order)).all(axis=1)).tolist())
-    if by_tables != by_lambda:
-        raise AssertionError("socle by tables disagrees with kernel of lambda")
-    return by_tables
+    return b._socle
 
 
 def socle_is_ideal(b: FiniteBrace) -> bool:

@@ -284,7 +284,8 @@ class _Search:
         fixed, and its test keeps or drops the class; the row rv it forces
         (rows named by their points) restricts c by what row v is, through
         `SymTables.conjugators` ("conj."), `SymTables.square_roots` ("c c =")
-        and `_bound` (n <= 7). A dropped c would fail the exact cascade too.
+        and `_bound` (n <= 7), and c(v) = x for a known x != k with sigma_x(y) = k
+        (gamma_y(x) = c^-1(x) = v). A dropped c would fail the exact cascade too.
 
         triple           rv          v = k      row v = a    row v unknown
         k is x, y = k    u^-1 c c    c = u      c c = u a    bound of c c
@@ -297,6 +298,9 @@ class _Search:
         perms, iperms, invi, sends = tab.perms, tab.iperms, tab.invi, tab.sends
         compose = tab.compose_idx
         ok = self._mc_bits[k]
+        hits = [[] for _ in range(n)]  # hits[y]: the known x != k with sigma_x(y) = k
+        for x in (x for x in range(n) if rows[x] is not None and x != k):
+            hits[iperms[rows[x]][k]].append(x)
         for y in range(n):  # k is x; on the class c(y) = u, row u and v are fixed
             ry, keep = rows[y], 0
             for u in range(n):
@@ -307,6 +311,7 @@ class _Search:
                     keep |= cls
                 elif not gmask[y] >> iperms[ru][k] & 1:
                     v = iperms[ru][k]
+                    cls &= ~sum(sends[v][x] for x in hits[y])  # c(v) = x: gamma_y(x) = v
                     if y == k:
                         if v == k:
                             cls &= 1 << ru

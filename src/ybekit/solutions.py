@@ -354,8 +354,8 @@ def canonical_form(s: Solution) -> Solution:
     """
     The lexicographically least sigma table over all n! relabelings.
 
-    Two solutions are isomorphic iff their canonical forms are equal; the
-    sweep is exhaustive, so this is a true canonical representative.
+    Two solutions are isomorphic iff their canonical forms are equal; row 0 is the
+    cycle-type bound and its ties are swept row by row: a true canonical representative.
     """
     tab = symtab.get_tables(s.n)
     return Solution(s.n, tab.min_relabeled(s.sigma))

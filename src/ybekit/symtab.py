@@ -7,16 +7,16 @@ composition and candidate sets for its core. `SymTables` is the only place
 a Sym(n) lookup is built, each with array operations over the lex-ordered
 permutations. Construction builds only the arrays every caller reads: the
 permutations `np_perms`, their inverses `np_inv` (int8, 0.6 MB at n = 8)
-and the radix of their keys, which is all that `min_relabeled` (the
-canonical form, over slabs of relabelings) needs. The search's tables are
-built on first read: its scalar views (`perms`, `pidx`, `iperms`, inverse
-indices `invi`, the minimal-conjugate table `mc_np` from cycle lengths and
-its list form `mc`), the composition table (degrees <= 7; one buffer read
-through its (m, m) view `comp_np`) and the bitsets {c : c(y) = u}, from
-which one rule gives the conjugators, square roots and aligners. Tables are
-built once per degree and shared, read-only once built; the search builds
-them all before it forks its workers, which then inherit them
-copy-on-write.
+and the radix of their keys. With the bitsets `sends` {c : c(y) = u} (0.33
+MB at n = 8) they are all that `min_relabeled` (the canonical form: row 0
+from the cycle-type bound, then slabs of tied relabelings) reads. The
+search's tables are built on first read: its scalar views (`perms`, `pidx`,
+`iperms`, inverse indices `invi`, the minimal-conjugate table `mc_np` from
+cycle lengths and its list form `mc`), the composition table (degrees <= 7;
+one buffer read through its (m, m) view `comp_np`) and `sends`, from which
+one rule gives the conjugators, square roots and aligners. Tables are built
+once per degree and shared, read-only once built; the search builds them
+all before it forks its workers, which then inherit them copy-on-write.
 """
 from __future__ import annotations
 
@@ -190,20 +190,25 @@ class SymTables:
         Lexicographically least table over all n! relabelings.
 
         Relabeling by f sends row x to f o sigma_{f^{-1}(x)} o f^{-1}; tables
-        compare row-major. The relabeled rows are built one row at a time,
-        for the relabelings still tied for least only: after each row, every
-        f whose row is not the least one is dropped. A row's keys are
-        computed over slabs of at most `_SLAB_RELABELINGS` tied relabelings,
-        so no temporary spans all n! of them: at n = 8 the largest are the
-        int32 indices and keys of the tied relabelings, 0.16 MB each, and a
-        traced call peaks below 1 MB.
+        compare row-major. Row 0 is the least cycle-type bound
+        `least_conjugate(sigma_x, x)`; the f tied for it send an anchor x (a
+        point reaching it) to 0 and conjugate sigma_x onto it, by one
+        `_forcing` rule per anchor row. Each later row drops every tied f whose
+        row is not the least, with keys over slabs of at most
+        `_SLAB_RELABELINGS` tied f: at n = 8 the largest temporaries are their
+        int32 indices and keys, 0.16 MB each, and a traced call peaks below 1 MB.
         """
-        n = self.n
+        n, sends = self.n, self.sends
+        bounds = [least_conjugate(row, x) for x, row in enumerate(table)]
+        best, found = [min(bounds)], 0
+        anchors = [x for x, bound in enumerate(bounds) if bound == best[0]]
+        for b in {table[x] for x in anchors}:  # f b f^-1 = row 0, f(x) = 0 for an anchor x of b
+            pinned = sum(sends[x][0] for x in anchors if table[x] == b)  # disjoint classes
+            found |= pinned & self._forcing(lambda y, w, b=b: sends[b[y]][best[0][w]])
+        tied = np.flatnonzero(unbits(found, self.m)).astype(np.int32)
         t = np.array(table, dtype=np.intp).ravel()
         flat, weights = self.np_perms.ravel(), self._radix[::-1]
-        tied = np.arange(self.m, dtype=np.int32)
-        best = []
-        for x in range(n):
+        for x in range(1, n):
             key = np.empty(len(tied), dtype=np.int32)  # n^n <= 2^24
             for a in range(0, len(tied), _SLAB_RELABELINGS):
                 f = tied[a : a + _SLAB_RELABELINGS]
@@ -211,9 +216,9 @@ class SymTables:
                 at = t.take(finv[:, x, None] * n + finv)  # table[finv(x)][finv(j)]
                 at += f[:, None] * n  # where np_perms.ravel() holds f of that entry
                 key[a : a + _SLAB_RELABELINGS] = flat.take(at) @ weights
-            low = key.min()  # a lex-order key: its base-n digits are the row
+            low = int(key.min())  # a lex-order key: its base-n digits are the row
             tied = tied[key == low]
-            best.append(tuple(map(int, np.unravel_index(low, (n,) * n))))
+            best.append(tuple(low // d % n for d in weights.tolist()))
         return tuple(best)
 
     # -- conjugation aligners ----------------------------------------------
@@ -227,6 +232,21 @@ class SymTables:
         found = self.conjugators(src, tgt) & self.sends[x0][0]
         for i in np.flatnonzero(unbits(found, self.m)).tolist():
             yield self.perms[i]
+
+
+def least_conjugate(p: Perm, x: int) -> Perm:
+    """The lex-least f p f^-1 with f(x) = 0: x's cycle becomes (0 1 ... L-1), and
+    the other cycles follow as runs of consecutive points, shortest first."""
+    seen, lens = [False] * len(p), []
+    for s in (x, *range(len(p))):  # the length of every cycle, x's first
+        ln, y = 0, s
+        while not seen[y]:
+            seen[y], ln, y = True, ln + 1, p[y]
+        lens += [ln] if ln else []
+    out: list[int] = []
+    for ln in (lens[0], *sorted(lens[1:])):
+        out += [*range(len(out) + 1, len(out) + ln), len(out)]
+    return tuple(out)
 
 
 def bits(mask: np.ndarray) -> int:

@@ -185,6 +185,9 @@ def dense_candidate_mask(search, rows, gmask, k) -> np.ndarray:
             continue
         v = IV[ru, k]
         ok &= ~known | (((gmask[y] >> v) & 1) == 0)
+        for x in range(n):  # gamma_y(x) = c^-1(x) for a known x != k with sigma_x(y) = k
+            if rows[x] is not None and x != k and tab.perms[rows[x]][y] == k:
+                ok &= ~known | (P[ar, v] != x)  # c(v) = x: it collides with gamma_y(k) = v
         ry = ar if y == k else rows[y]
         if C is not None and ry is not None:
             ok &= ~known | forced_ok(v, C[invi_np[ru], C[ar, ry]])

@@ -104,6 +104,19 @@ def test_irretractable_brace_has_trivial_socle():
     assert lambda_matches_action(b, IRRETRACTABLE4)
 
 
+def test_socle_is_decided_once_per_brace():
+    b = brace_from_solution(IRRETRACTABLE4)
+    assert "_socle" not in vars(b)
+    assert socle(b) is socle(b) == (0,)
+    assert is_trivial_brace(b) is False and socle_is_ideal(b)
+    # a brace with other tables decides its own socle, cross-check included
+    trivial = brace_from_solution(Solution.permutation_solution((1, 2, 0)))
+    assert socle(trivial) == (0, 1, 2)
+    broken = dataclasses.replace(trivial, lam=trivial.lam[:, [0, 2, 1]])
+    with pytest.raises(AssertionError, match="kernel of lambda"):
+        socle(broken)
+
+
 def test_decomp_check_with_zero_factor():
     # the factorization of b_i * 0 must pick the neutral element
     b = brace_from_solution(MIXED6)

@@ -208,6 +208,16 @@ def test_n8_search_on_a_3_cycle_root():
         assert canonical_form(s).sigma == table
 
 
+def test_column_collision_test_cuts_know_trials_at_n6():
+    # the mask drops c(v) = x when a known row x sends y to k and the class
+    # c(y) = u gives gamma_y(k) = v: two of row k's new gamma entries would
+    # collide in column y. It prunes no node: the counters stay, and the
+    # trials fall from 53249 (the mask without this test) to 45487
+    stats, searches = _search_every_root(_CountingSearch, 6)
+    assert stats == EXPECTED_STATS[6]
+    assert sum(search.trials for search in searches) == 45487
+
+
 def _search_every_root(cls, n):
     """Run a `_Search` class on every root row of degree n; the summed stats and the searches."""
     stats, searches = SearchStats(), []

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -8,11 +9,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reference import conjugate, loop_mc
+from reference import conjugate, lexsort_min_relabeled, loop_mc
+from ybekit import symtab
 from ybekit.errors import BudgetExceededError
 from ybekit.perms import compose, cycles, inverse
 from ybekit.solutions import Solution, canonical_form
-from ybekit.symtab import LAZY_TABLES, SymTables, get_tables
+from ybekit.symtab import LAZY_TABLES, SymTables, get_tables, least_conjugate
 
 
 def all_perms(n):
@@ -314,3 +316,57 @@ def test_canonical_form_at_n8_is_small(table, form):
         tracemalloc.stop()
     assert got.sigma == form
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_least_conjugate_is_the_mc_bound(n):
+    # every permutation and anchor at n <= 7, a seeded sample at n = 8
+    tab = get_tables(n)
+    rng = np.random.default_rng(n)
+    sample = range(tab.m) if n <= 7 else rng.integers(0, tab.m, size=400).tolist()
+    for c in sample:
+        for a in range(n):
+            assert least_conjugate(tab.perms[c], a) == tab.perms[tab.mc[c][a]], (c, a)
+
+
+def _random_row_table(rng, n):
+    """n rows drawn from Sym(n), repeated in about half the tables: not a solution, in general."""
+    rows = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, n))]
+    return tuple(rng.choice(rows) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_min_relabeled_matches_lexsort_on_random_row_tables(n):
+    rng = random.Random(30 + n)
+    tab = get_tables(n)
+    for _ in range(150 if n < 6 else 40):
+        table = _random_row_table(rng, n)
+        assert tab.min_relabeled(table) == lexsort_min_relabeled(tab, table), table
+
+
+def test_min_relabeled_matches_lexsort_at_n8():
+    # the trivial table (every relabeling ties on row 0) and the union of
+    # test_canonical_form_at_n8_is_small
+    tab = get_tables(8)
+    union = ((7, 1, 2, 3, 4, 5, 6, 0), (0, 2, 1, 3, 5, 4, 6, 7), (0, 4, 5, 3, 1, 2, 6, 7),
+             (0, 1, 2, 6, 4, 5, 3, 7), (0, 4, 5, 3, 1, 2, 6, 7), (0, 2, 1, 3, 5, 4, 6, 7),
+             (0, 1, 2, 6, 4, 5, 3, 7), (7, 1, 2, 3, 4, 5, 6, 0))
+    for table in (Solution.trivial(8).sigma, union):
+        assert tab.min_relabeled(table) == lexsort_min_relabeled(tab, table)
+
+
+def test_canonical_form_at_n8_builds_no_search_view(monkeypatch):
+    # row 0 comes from cycle lengths and its ties from the class bitsets, so
+    # the canonical form reads np_perms, np_inv, _radix and sends only
+    tab = SymTables(8)
+    monkeypatch.setattr(symtab, "get_tables", lambda n: tab)
+
+    def no_aligners(*args):
+        raise AssertionError("the canonical form called aligners")
+
+    monkeypatch.setattr(SymTables, "aligners", no_aligners)
+    s = Solution(8, ((1, 2, 0, 3, 4, 5, 6, 7),) * 8)  # a constant-row solution
+    assert canonical_form(s).sigma == ((0, 1, 2, 3, 4, 6, 7, 5),) * 8  # fixed points first
+    for name in ("perms", "pidx", "iperms", "invi", "mc", "mc_np"):
+        assert name not in vars(tab)
+    assert "sends" in vars(tab)
