@@ -73,6 +73,14 @@ class CatalogRecord:
             raise InvalidSolutionError(str(exc)) from exc
 
 
+def open_text(path: str, mode: str = "r", newline: str | None = None):
+    """open() in UTF-8, raising OSError, not ValueError, on a path holding a NUL byte."""
+    try:
+        return open(path, mode, encoding="utf-8", newline=newline)
+    except ValueError as exc:
+        raise OSError(f"invalid path {path!r}: {exc}") from None
+
+
 def write_catalog(
     path: str,
     n: int,
@@ -87,7 +95,7 @@ def write_catalog(
         "n": n,
         "budget": budget or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_text(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in records:
             fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")

@@ -6,9 +6,9 @@ default (--pretty switches to an indented human-readable form). Exit codes
 are fixed so CI can discriminate failure classes:
 
     0  success
-    1  I/O, parse or usage error (unreadable file, unwritable output,
-       malformed or too deeply nested JSON, non-permutation rows, unknown,
-       missing or out-of-range option, closed output pipe)
+    1  I/O, parse or usage error (unreadable file, unwritable output, path
+       holding a NUL byte, malformed or too deeply nested JSON, non-permutation
+       rows, unknown, missing or out-of-range option, closed output pipe)
     2  invalid solution (an axiom fails)
     3  budget exceeded (size guard, brace order cap or time budget)
     4  classification shape failure (a primitive class of impossible form)
@@ -27,7 +27,7 @@ import sys
 
 from . import __version__
 from .braces import DEFAULT_BRACE_CAP
-from .catalog import write_catalog
+from .catalog import open_text, write_catalog
 from .enumeration import SearchStats, analyze, classify_primitive, fast_enumerate
 from .errors import BudgetExceededError, InvalidSolutionError, ClassificationShapeError
 from .solutions import Solution, validate
@@ -42,7 +42,7 @@ EXIT_SHAPE = 4
 def _emit(data: dict, args: argparse.Namespace) -> None:
     text = json.dumps(data, indent=2 if args.pretty else None, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with open_text(args.output, "w") as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -56,7 +56,7 @@ def _load_or_report(source: str) -> Solution | None:
         if source.lstrip().startswith("{"):
             raw = source
         else:
-            with open(source, "r", encoding="utf-8") as fh:
+            with open_text(source) as fh:
                 raw = fh.read()
         return Solution.from_json(json.loads(raw))
     except OSError as exc:
@@ -130,7 +130,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         time_budget_secs=args.time_budget,
     )
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with open_text(args.csv, "w", newline="") as fh:
             csv.writer(fh).writerows(report.csv_rows())
     _emit(report.to_json(), args)
     return EXIT_OK

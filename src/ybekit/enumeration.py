@@ -10,7 +10,7 @@ Two independent routes exist:
   it is the ground truth the fast path is judged against.
 
 * `fast_enumerate` (n <= 7 by default, n = 8 opt-in): depth-first search
-  over partial sigma tables, one row at a time, with three pruning devices:
+  over partial sigma tables, one row at a time, with four pruning devices:
 
   1. constraint propagation from one triple rule: for a triple (x, y,
      u = sigma_x(y)), rows x and u give the gamma entry gamma_y(x) =
@@ -31,6 +31,9 @@ Two independent routes exist:
      gather indices are prepared once per (row, anchor, d) in the search of
      one root, and die with it. At d = n it decides if a table is
      orbit-least; below, it prunes.
+  4. solvability: G(X, r) is solvable (Etingof, Schedler and Soloviev,
+     Duke Math. J. 1999, Thm 2.15), so a node is cut on entry if
+     `certainly_nonsolvable` proves its known rows generate a non-solvable group.
 
   Canonical leaves are re-validated with the brute-force checker before
   being emitted, so search-level shortcuts cannot admit a non-solution.
@@ -46,7 +49,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -69,7 +71,7 @@ from .braces import (
 )
 from .catalog import CatalogRecord
 from .errors import BudgetExceededError, ClassificationShapeError
-from .permgroup import PermGroup
+from .permgroup import PermGroup, certainly_nonsolvable
 from .perms import Perm, cycle_type
 from .solutions import (
     Solution,
@@ -383,6 +385,8 @@ class _Search:
         if k is None:
             self._leaf(rows)
             return
+        if certainly_nonsolvable([self.tab.perms[r] for r in set(rows) - {None}], self.n):
+            return
         if k >= 2 and not self._canonical(rows, k):
             return
         for c in np.flatnonzero(self._candidate_mask(rows, gmask, k)).tolist():
@@ -469,6 +473,7 @@ def _run_search(n: int, threads: int, time_budget_secs: float | None) -> _Enumer
     if threads == 1:
         parts = list(map(_search_root, units))
     else:
+        from multiprocessing import get_context  # here only: it costs import time
         with get_context("fork").Pool(min(threads, len(units))) as pool:
             parts = pool.map(_search_root, units, chunksize=1)
     tables, stats = [], SearchStats()

@@ -36,6 +36,34 @@ class BlockSystem:
         raise ValueError(f"point {x} not covered")
 
 
+def _classes(generators, degree: int, pairs) -> tuple[tuple[int, ...], ...]:
+    """
+    The finest partition of range(degree) that joins each pair and that every
+    generator preserves, classes sorted, by minimum: union-find, merging the
+    images of merged pairs. The pairs (x, g(x)) with no generators give the
+    orbits; one pair of an orbit, its finest block system joining the two.
+    """
+    parent = list(range(degree))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+    stack = list(pairs)
+    while stack:
+        u, v = stack.pop()
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            for g in generators:
+                stack.append((g[u], g[v]))
+    classes: dict[int, list[int]] = {}
+    for x in range(degree):
+        classes.setdefault(find(x), []).append(x)
+    return tuple(tuple(c) for c in classes.values())
+
+
 class PermGroup:
     """A permutation group with its element set fully expanded."""
 
@@ -116,24 +144,8 @@ class PermGroup:
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of the domain, each orbit sorted, ordered by minimum."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = {start}
-            stack = [start]
-            seen[start] = True
-            while stack:
-                x = stack.pop()
-                for g in self.generators:
-                    y = g[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        seen[y] = True
-                        stack.append(y)
-            out.append(tuple(sorted(orbit)))
-        return tuple(out)
+        moves = [(x, g[x]) for g in self.generators for x in range(self.degree) if g[x] != x]
+        return _classes((), self.degree, moves)
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
@@ -159,28 +171,7 @@ class PermGroup:
         if a == b:
             raise ValueError("need two distinct points")
         n = self.degree
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        stack = [(a, b)]
-        while stack:
-            u, v = stack.pop()
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            parent[ru] = rv
-            for g in self.generators:
-                stack.append((g[u], g[v]))
-
-        classes: dict[int, list[int]] = {}
-        for x in range(n):
-            classes.setdefault(find(x), []).append(x)
-        blocks = tuple(sorted(tuple(sorted(c)) for c in classes.values()))
+        blocks = _classes(self.generators, n, [(a, b)])
 
         sizes = {len(blk) for blk in blocks}
         if len(sizes) != 1 or n % len(blocks[0]) != 0:
@@ -264,3 +255,57 @@ class PermGroup:
 
     def check_lagrange(self) -> bool:
         return math.factorial(self.degree) % self.order == 0
+
+
+def certainly_nonsolvable(generators: list[Perm] | tuple[Perm, ...], degree: int) -> bool:
+    """
+    True only on a proof, found on an orbit D, that the group G the
+    generators generate is not solvable; False proves nothing.
+
+    Subgroups and quotients of a solvable group are solvable (H <= G has
+    H^(i) <= G^(i), and a homomorphism f has f(G)^(i) = f(G^(i))), so it
+    suffices that H, the image of G in Sym(D), is not solvable. Were it
+    solvable, a minimal normal subgroup N of H would be an elementary
+    abelian p-group (N' and the p-torsion of N are characteristic in N, so
+    normal in H); if H is primitive and |D| > 1, N is transitive (its
+    orbits form blocks), so regular, and |D| = |N| a power of p. Proofs:
+
+    (a) |D| is not a prime power, and H is primitive on D.
+    If |D| = p is prime, H is primitive and N = <c> for a p-cycle c; with
+    D as Z/p and c as x -> x + 1, each h in H has h c h^-1 = c^a, so
+    h(x + 1) = h(x) + a: H lies in AGL(1, p). Hence:
+    (b) a generator is a p-cycle c' that some generator does not
+        normalize: <c'> is a Sylow p-subgroup (p^2 does not divide p!),
+        so <c'> = N, normal in H (and the first p-cycle found decides);
+    (c) a generator, or a product of two, moves D yet fixes two points of
+        it: x -> a x + b fixes none (a = 1, b != 0), one (a != 1) or all.
+    """
+    moves = [(x, g[x]) for g in generators for x in range(degree) if g[x] != x]
+    for orbit in _classes((), degree, moves):
+        k = len(orbit)
+        if k < 5:  # Sym(k) is solvable
+            continue
+        p = next(d for d in range(2, k + 1) if k % d == 0)  # the least prime factor
+        if p == k and _outside_agl(generators, orbit):
+            return True
+        if p ** k.bit_length() % k:  # k is not a power of p: (a) if the action is primitive
+            systems = (_classes(generators, degree, [(orbit[0], b)]) for b in orbit[1:])
+            if all(len(blocks) == degree - k + 1 for blocks in systems):
+                return True
+    return False
+
+
+def _outside_agl(gens: list[Perm] | tuple[Perm, ...], orbit: tuple[int, ...]) -> bool:
+    """Proofs (c), then (b), of `certainly_nonsolvable` on an orbit of prime size."""
+    k = len(orbit)
+    pairs = itertools.combinations_with_replacement(gens, 2)
+    words = itertools.chain(gens, itertools.starmap(compose, pairs))
+    if any(2 <= sum(w[x] == x for x in orbit) < k for w in words):
+        return True
+    for c in gens:
+        pos, x = {}, orbit[0]
+        while x not in pos:
+            pos[x], x = len(pos), c[x]
+        if len(pos) == k:  # g normalizes <c> iff pos(g c x) - pos(g x) is constant
+            return any(len({(pos[g[c[x]]] - pos[g[x]]) % k for x in orbit}) > 1 for g in gens)
+    return False

@@ -107,6 +107,26 @@ def test_unwritable_output_exits_1(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "a\x00b"],
+        ["analyze", "a\x00b"],
+        ["validate", '{"n": 1, "sigma": [[0]]}', "--output", "a\x00b"],
+        ["analyze", '{"n": 1, "sigma": [[0]]}', "--output", "a\x00b"],
+        ["enumerate", "--n", "2", "--output", "a\x00b"],
+        ["classify", "--n-max", "2", "--output", "a\x00b"],
+        ["classify", "--n-max", "2", "--csv", "a\x00b"],
+    ],
+)
+def test_path_with_nul_byte_exits_1(argv, capsys):
+    # open() raises ValueError, not OSError, on such a path
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_validate_inline_json(capsys):
     assert main(["validate", '{"n": 1, "sigma": [[0]]}']) == 0
     capsys.readouterr()

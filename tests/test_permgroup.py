@@ -3,9 +3,10 @@ import math
 import pytest
 
 from reference import all_pairs_derived_series
-from ybekit.enumeration import fast_enumerate
+from ybekit import enumeration
+from ybekit.enumeration import enumerate_canonical_tables, fast_enumerate
 from ybekit.errors import BudgetExceededError
-from ybekit.permgroup import BlockSystem, PermGroup
+from ybekit.permgroup import BlockSystem, PermGroup, certainly_nonsolvable
 from ybekit.perms import compose, from_cycles, identity, inverse
 from ybekit.solutions import Solution, solution_group
 
@@ -175,3 +176,106 @@ def test_derived_series_matches_all_pairs_reference(records_up_to_6):
     for g in groups:
         got, want = g.derived_series(), all_pairs_derived_series(g)
         assert [h.elements for h in got] == [h.elements for h in want]
+
+
+def _affine(p, a):
+    """x -> a x + 1 on Z/p when a == 1, else x -> a x: generators of affine groups."""
+    return tuple((a * x + (a == 1)) % p for x in range(p))
+
+
+def _fano(matrix):
+    """An invertible 3 x 3 matrix over F_2 on the 7 points of the Fano plane, v - 1 for v."""
+    cols = [sum(matrix[i][j] << i for i in range(3)) for j in range(3)]
+    image = [0] * 7
+    for v in range(1, 8):
+        w = 0
+        for j in range(3):
+            if v >> j & 1:
+                w ^= cols[j]
+        image[v - 1] = w - 1
+    return tuple(image)
+
+
+# (name, generators, order): the certificate must hold on each, and each is
+# checked non-solvable by its derived series
+NONSOLVABLE = [
+    # (c): the transposition fixes three points
+    ("S5", [from_cycles(5, (0, 1, 2, 3, 4)), from_cycles(5, (0, 1))], 120),
+    # (b): no generator or product of two fixes two points, and the
+    # involution does not normalize the 5-cycle
+    ("A5", [from_cycles(5, (0, 1, 2, 3, 4)), from_cycles(5, (1, 3), (2, 4))], 60),
+    # (a): on the projective line 0..4, 5 = infinity, by x + 1, 2 x and -1/x
+    ("PGL(2, 5)", [(1, 2, 3, 4, 0, 5), (0, 2, 4, 1, 3, 5), (5, 4, 2, 3, 1, 0)], 120),
+    # (c): GL(3, 2) on the Fano plane, by a Singer 7-cycle and a transvection,
+    # which fixes the three points of a line
+    (
+        "PSL(3, 2)",
+        [_fano(((0, 0, 1), (1, 0, 1), (0, 1, 0))), _fano(((1, 1, 0), (0, 1, 0), (0, 0, 1)))],
+        168,
+    ),
+]
+
+# the same for solvable groups, on which the certificate must not hold
+SOLVABLE = [
+    ("AGL(1, 5)", [_affine(5, 1), _affine(5, 2)], 20),
+    ("AGL(1, 7)", [_affine(7, 1), _affine(7, 3)], 42),
+    ("C7 x| C3", [_affine(7, 1), _affine(7, 2)], 21),
+    ("S4", [from_cycles(4, (0, 1, 2, 3)), from_cycles(4, (0, 1))], 24),
+    (
+        "S3 wr S2",
+        [from_cycles(6, (0, 1, 2)), from_cycles(6, (0, 1)), from_cycles(6, (0, 3), (1, 4), (2, 5))],
+        72,
+    ),
+    (
+        "S2 wr S3",
+        [
+            from_cycles(6, (0, 1)),
+            from_cycles(6, (0, 2, 4), (1, 3, 5)),
+            from_cycles(6, (0, 2), (1, 3)),
+        ],
+        48,
+    ),
+    (
+        "S4 x S3",
+        [from_cycles(7, c) for c in ((0, 1, 2, 3), (0, 1), (4, 5, 6), (4, 5))],
+        144,
+    ),
+]
+
+
+@pytest.mark.parametrize("name, gens, order", NONSOLVABLE + SOLVABLE)
+def test_certainly_nonsolvable_on_named_groups(name, gens, order):
+    group = PermGroup.closure(gens)
+    assert group.order == order
+    assert group.is_solvable() == ((name, gens, order) in SOLVABLE)
+    assert certainly_nonsolvable(gens, len(gens[0])) == (not group.is_solvable())
+
+
+def _node_sets(monkeypatch, n):
+    """Each distinct set of known rows the search of degree n asks about, with the verdict."""
+    verdicts = {}
+
+    def recording(gens, degree):
+        verdicts[frozenset(gens)] = certainly_nonsolvable(gens, degree)
+        return verdicts[frozenset(gens)]
+
+    monkeypatch.setattr(enumeration, "certainly_nonsolvable", recording)
+    enumerate_canonical_tables(n, use_cache=False)
+    return verdicts
+
+
+def test_certificate_cuts_only_nonsolvable_node_sets(monkeypatch):
+    # at n <= 5 every node set is decided by brute force: the certificate
+    # cuts 25 of the 33 non-solvable ones at n = 5, and none that is solvable
+    for n in range(1, 6):
+        verdicts = _node_sets(monkeypatch, n)
+        nonsolvable = {s for s in verdicts if not PermGroup.closure(sorted(s)).is_solvable()}
+        assert {s for s, cut in verdicts.items() if cut} <= nonsolvable
+        assert (sum(verdicts.values()), len(nonsolvable)) == ((25, 33) if n == 5 else (0, 0))
+    # at n = 6 it cuts 665 sets, of the 679 non-solvable ones among 1810:
+    # each cut set is checked, one derived series per distinct group
+    verdicts = _node_sets(monkeypatch, 6)
+    assert len(verdicts) == 1810
+    cut_groups = {PermGroup.closure(sorted(s)) for s, cut in verdicts.items() if cut}
+    assert sum(verdicts.values()) == 665
+    assert not any(group.is_solvable() for group in cut_groups)

@@ -1,6 +1,9 @@
-"""Checks on the package itself: its doctests and its declared version."""
+"""Checks on the package itself: its doctests, its declared version and its imports."""
 import doctest
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +48,17 @@ def test_pyproject_version_matches_package():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == ybekit.__version__
+
+
+def test_import_leaves_multiprocessing_out():
+    # the search imports it only to start a pool; it costs import time and
+    # pulls in socket and selectors
+    code = "import sys, ybekit; print(sorted({'multiprocessing', 'socket'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
