@@ -32,8 +32,8 @@ Two independent routes exist:
      one root, and die with it. At d = n it decides if a table is
      orbit-least; below, it prunes.
   4. solvability: G(X, r) is solvable (Etingof, Schedler and Soloviev,
-     Duke Math. J. 1999, Thm 2.15), so a node is cut on entry if
-     `certainly_nonsolvable` proves its known rows generate a non-solvable group.
+     Duke Math. J. 1999, Thm 2.15), so a node is cut on entry if `certainly_nonsolvable`
+     proves its known rows (distinct, in index order) generate a non-solvable group.
 
   Canonical leaves are re-validated with the brute-force checker before
   being emitted, so search-level shortcuts cannot admit a non-solution.
@@ -385,7 +385,7 @@ class _Search:
         if k is None:
             self._leaf(rows)
             return
-        if certainly_nonsolvable([self.tab.perms[r] for r in set(rows) - {None}], self.n):
+        if certainly_nonsolvable([self.tab.perms[r] for r in sorted(set(rows) - {None})], self.n):
             return
         if k >= 2 and not self._canonical(rows, k):
             return
