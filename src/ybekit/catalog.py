@@ -104,12 +104,16 @@ def write_catalog(
 def read_catalog(path: str) -> tuple[dict, list[CatalogRecord]]:
     """Read a JSON-lines catalog back as (header, records).
 
-    A malformed line (nested too deeply to parse included), a header whose n
-    is not a JSON int, or a record whose n is not the header's, raises
-    InvalidSolutionError naming its line number.
+    A malformed line (nested too deeply to parse, or not UTF-8, included), a
+    header whose n is not a JSON int, or a record whose n is not the
+    header's, raises InvalidSolutionError naming its line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open_text(path) as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # exc.object is the whole file
+            lineno = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+            raise InvalidSolutionError(f"catalog line {lineno}: not UTF-8: {exc.reason}") from exc
     header, records = None, []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():

@@ -21,7 +21,8 @@ Two independent routes exist:
      non-degeneracy violation) kills the branch. A filter checks the same
      triples one step deep for the candidate values of the next row, with
      bitsets over permutation indices: a few big-int operations for each
-     class {c : c(y) = u}. Both are necessary, so no solution is pruned.
+     class {c : c(y) = u}. A triple with row k as u is, by r(k, v) = (x, y),
+     one with k as x. Both are necessary, so no solution is pruned.
   2. ordered-invariant bound: in a lex-minimal table, relabeling any point
      v to 0 cannot produce a first row lex-smaller than row 0; each known
      row is checked against a precomputed minimal-conjugate table.
@@ -288,13 +289,15 @@ class _Search:
         `SymTables.conjugators` ("conj."), `SymTables.square_roots` ("c c =")
         and `_bound` (n <= 7), and c(v) = x for a known x != k with sigma_x(y) = k
         (gamma_y(x) = c^-1(x) = v). A dropped c would fail the exact cascade too.
+        Blanks are untested: k as u is k as x by r(k, v) = (x, y); known rows x,
+        u and v have forced row k; and the v = k cells cut no mask at n <= 7.
 
         triple           rv          v = k      row v = a    row v unknown
-        k is x, y = k    u^-1 c c    c = u      c c = u a    bound of c c
+        k is x, y = k    u^-1 c c               c c = u a    bound of c c
         k is x, y != k   u^-1 c y    conj.      one c        bound of c
-        k is u, y = k    c^-1 x c    c = x      conj.        met: mc[x][x]
-        k is u, y != k   c^-1 x y    c c = x y  one c        bound of c
-        k is y           u^-1 x c    all, none  one c        bound of c
+        k is u, y = k    c^-1 x c                            met: mc[x][x]
+        k is u, y != k   c^-1 x y                            bound of c
+        k is y           u^-1 x c                            bound of c
         """
         n, tab = self.n, self.tab
         perms, iperms, invi, sends = tab.perms, tab.iperms, tab.invi, tab.sends
@@ -314,14 +317,12 @@ class _Search:
                 elif not gmask[y] >> iperms[ru][k] & 1:
                     v = iperms[ru][k]
                     cls &= ~sum(sends[v][x] for x in hits[y])  # c(v) = x: gamma_y(x) = v
-                    if y == k:
-                        if v == k:
-                            cls &= 1 << ru
-                        elif rows[v] is not None:
+                    if y == k and v != k:
+                        if rows[v] is not None:
                             cls &= self._roots(compose(ru, rows[v]))
                         else:
                             cls &= self._bound(v, invi[ru], True)
-                    elif ry is not None:
+                    elif ry is not None:  # so y != k
                         if v == k:
                             cls &= self._conj(ry, ru)
                         elif rows[v] is not None:
@@ -330,40 +331,19 @@ class _Search:
                             cls &= self._bound(perms[ry][v], compose(ry, invi[ru]))
                     keep |= cls
             ok &= keep
-        for x in range(n):
+        for x in (x for x in range(n) if rows[x] is not None):  # only bounds are new here
             rx = rows[x]
-            if rx is None:
-                continue
-            y, u = iperms[rx][k], perms[rx][k]  # k is u, then k is y
-            ru, ry = rows[u], rows[y]
-            if ru is not None:  # so u != k; u == k is y == k below
-                v, w = iperms[ru][x], compose(invi[ru], rx)
-                if v == k:  # row k forced to u^-1 x c: c for every c, or for none
-                    ok &= 0 if w else -1
-                elif rows[v] is not None:
-                    ok &= 1 << compose(invi[w], rows[v])
-                else:
-                    ok &= self._bound(v, w)
-            keep = 0
-            for v in range(n):  # on the class c(v) = x
-                if gmask[y] >> v & 1:
-                    continue
-                cls, rv = sends[v][x], rows[v]
-                if y == k:
-                    if v == k:
-                        cls &= 1 << rx
-                    elif rv is not None:
-                        cls &= self._conj(rv, rx)
-                elif ry is not None:
-                    w = compose(rx, ry)
-                    if v == k:
-                        cls &= self._roots(w)
-                    elif rv is not None:
-                        cls &= 1 << compose(w, invi[rv])
-                    else:  # mc[c^-1 w][v] = mc[w^-1 c][v]
-                        cls &= self._bound(v, invi[w])
-                keep |= cls
-            ok &= keep
+            y, ru = iperms[rx][k], rows[perms[rx][k]]  # k is u, then k is y
+            if ru is not None:  # k is y, so u != k
+                v = iperms[ru][x]
+                if v != k and rows[v] is None:
+                    ok &= self._bound(v, compose(invi[ru], rx))
+            if rows[y] is not None:  # k is u, so y != k
+                winv, keep = invi[compose(rx, rows[y])], 0
+                for v in range(n):  # on the class c(v) = x, mc[c^-1 x y][v] = mc[y^-1 x^-1 c][v]
+                    cls = sends[v][x]
+                    keep |= cls if v == k or rows[v] is not None else cls & self._bound(v, winv)
+                ok &= keep
         return symtab.unbits(ok, tab.m)
 
     def _bound(self, v: int, w: int, squared: bool = False) -> int:

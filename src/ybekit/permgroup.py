@@ -10,7 +10,6 @@ closures into explicit errors instead of silent truncation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -28,12 +27,6 @@ class BlockSystem:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise ValueError(f"point {x} not covered")
 
 
 def _classes(generators, degree: int, pairs) -> tuple[tuple[int, ...], ...]:
@@ -250,11 +243,6 @@ class PermGroup:
     def is_solvable(self) -> bool:
         """True iff the derived series reaches the trivial group."""
         return self.derived_series()[-1].order == 1
-
-    # -- sanity -------------------------------------------------------------------
-
-    def check_lagrange(self) -> bool:
-        return math.factorial(self.degree) % self.order == 0
 
 
 def certainly_nonsolvable(generators: list[Perm] | tuple[Perm, ...], degree: int) -> bool:

@@ -11,8 +11,7 @@ first. Every other module relies on this convention.
 """
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 Perm = tuple[int, ...]
@@ -32,16 +31,6 @@ def is_perm(word: Sequence[int]) -> bool:
             return False
         seen[x] = True
     return True
-
-
-def as_perm(word: Iterable[int]) -> Perm:
-    """Coerce an image sequence to a Perm tuple, raising ValueError if it is not a bijection."""
-    p = tuple(word)
-    if len(p) == 0:
-        raise ValueError("a permutation needs degree >= 1")
-    if not is_perm(p):
-        raise ValueError(f"{list(p)} is not a permutation of 0..{len(p) - 1}")
-    return p
 
 
 def identity(n: int) -> Perm:
@@ -138,11 +127,3 @@ def from_cycles(n: int, *cyc: Sequence[int]) -> Perm:
         for a, b in zip(c, tuple(c[1:]) + (c[0],)):
             images[a] = b
     return tuple(images)
-
-
-def perm_order(p: Perm) -> int:
-    """Multiplicative order of p (lcm of its cycle lengths)."""
-    order = 1
-    for c in cycles(p):
-        order = math.lcm(order, len(c))
-    return order

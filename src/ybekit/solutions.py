@@ -274,10 +274,6 @@ class SigmaClassPartition:
     classes: tuple[tuple[int, ...], ...]
     generator_invariant: bool
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
 
 def sigma_class_blocks(s: Solution) -> SigmaClassPartition:
     """Group points by equal sigma rows and verify generator invariance."""

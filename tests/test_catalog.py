@@ -94,3 +94,19 @@ def test_round_trip_loads_every_enumerated_class(tmp_path, records_up_to_6):
         path = tmp_path / f"n{n}.jsonl"
         write_catalog(str(path), n, records)
         assert read_catalog(str(path))[1] == records
+
+
+def test_path_with_nul_byte_raises_oserror():
+    with pytest.raises(OSError, match="invalid path"):
+        read_catalog("bad\0name.jsonl")
+
+
+@pytest.mark.parametrize(
+    "line", [b"\xff", b'{"n": 2, "sigma": "\xc3"}'], ids=["line-start", "mid-line"]
+)
+def test_non_utf8_line_rejected(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    write_catalog(str(path), 2, fast_enumerate(2))
+    path.write_bytes(path.read_bytes() + line + b"\n")
+    with pytest.raises(InvalidSolutionError, match="catalog line 4: not UTF-8"):
+        read_catalog(str(path))

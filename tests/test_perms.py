@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ybekit.perms import (
-    as_perm,
     compose,
     cycle_type,
     cycles,
@@ -11,7 +10,6 @@ from ybekit.perms import (
     identity,
     inverse,
     is_perm,
-    perm_order,
 )
 
 perms5 = st.permutations(range(5)).map(tuple)
@@ -67,18 +65,6 @@ def test_is_perm():
     assert not is_perm((0, 0, 1))
     assert not is_perm((0, 3, 1))
     assert not is_perm((True, 0, 2))
-
-
-def test_as_perm_rejects_junk():
-    with pytest.raises(ValueError):
-        as_perm([0, 2])
-    with pytest.raises(ValueError):
-        as_perm([])
-
-
-def test_perm_order():
-    assert perm_order((1, 0, 3, 4, 2)) == 6
-    assert perm_order(identity(3)) == 1
 
 
 @given(perms5, perms5, perms5)

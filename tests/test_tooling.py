@@ -1,4 +1,5 @@
 """Checks on the package itself: its doctests, its declared version and its imports."""
+import ast
 import doctest
 import os
 import pathlib
@@ -62,3 +63,30 @@ def test_import_leaves_multiprocessing_out():
         check=True,
     )
     assert out.stdout == "[]\n"
+
+
+# bench/tracing.py patches these by name in the modules that import them
+TRACER_PATCHED = {"enumeration.py": {"additive_identities_check", "check_brace_axiom"}}
+
+
+def _unused_imports(path: pathlib.Path) -> set[str]:
+    """Names a module imports and never reads; a dotted import binds its first part."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_src_modules_have_no_unused_imports():
+    # __init__.py imports to re-export, so it is left out
+    found = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "ybekit").glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path))
+    }
+    assert found == TRACER_PATCHED
